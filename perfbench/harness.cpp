@@ -10,24 +10,34 @@
 //               save/reload with a bitwise check, in-process predict latency
 //   fixture     set-up of a serve workload: dataset generation and the fit
 //               of the archive the server will serve
+//   probes      the per-layer probes (probes.cpp) of a serve workload, over
+//               its archive, training set and query stream; traced runs only
 //   client      the open-loop load client of a serve workload
+//   idle-spin   keeps every core busy at the lowest priority until stdin
+//               closes; runs beside every workload
 //
-// With --trace=1, fit-kripke and fixture also run the per-layer probes
-// (probes.cpp) and write the harness spans as Chrome trace JSON (fixture:
-// into --trace-dir, so the served model directory holds only the archive).
+// With --trace=1, fit-kripke and fixture write their spans as Chrome trace
+// JSON (fixture: into --trace-dir, so the served model directory holds only
+// the archive); fit-kripke also runs the per-layer probes after its
+// measured loop. A serve workload runs `probes` after its timed set-up, so
+// set-up time never includes them.
 
+#include <pthread.h>
 #include <sched.h>
+#include <signal.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <map>
+#include <thread>
 
 #include "core/model_file.hpp"
 #include "harness.hpp"
@@ -90,12 +100,29 @@ std::string JsonObject::render() const {
   return text + "}";
 }
 
-std::string latency_summary(const std::vector<double>& seconds, double scale) {
-  JsonObject summary;
-  summary.num("p50", percentile(seconds, 0.5) * scale);
-  summary.num("p99", percentile(seconds, 0.99) * scale);
-  summary.num("count", static_cast<double>(seconds.size()));
-  return summary.render();
+WindowStat window_stat(const std::vector<double>& latencies, const std::vector<double>& lags,
+                       double lag_bound_s) {
+  WindowStat w{percentile(latencies, 0.5), percentile(latencies, 0.99), percentile(lags, 0.99),
+               latencies.size(), false};
+  w.valid = !latencies.empty() && w.lag_p99_s <= lag_bound_s;
+  return w;
+}
+
+WindowedLatency combine_windows(std::vector<WindowStat> windows) {
+  WindowedLatency out;
+  std::vector<double> p50s, p99s;
+  for (const WindowStat& w : windows) {
+    if (!w.valid) continue;
+    ++out.valid_windows;
+    out.count += w.count;
+    p50s.push_back(w.p50_s);
+    p99s.push_back(w.p99_s);
+  }
+  out.windows = windows.size();
+  out.per_window = std::move(windows);
+  out.p50_s = out.valid_windows ? median(p50s) : std::nan("");
+  out.p99_s = out.valid_windows ? median(p99s) : std::nan("");
+  return out;
 }
 
 WindowedLatency summarize_windows(const std::vector<Sample>& samples, double lag_bound_s) {
@@ -107,29 +134,13 @@ WindowedLatency summarize_windows(const std::vector<Sample>& samples, double lag
     window_lags.push_back(s.lag_s);
     lags.push_back(s.lag_s);
   }
-  WindowedLatency out;
-  out.lag_p99_s = percentile(lags, 0.99);
+  std::vector<WindowStat> windows;
   for (const auto& [index, window] : by_window) {
     if (window.first.empty()) continue;
-    const double lag = percentile(window.second, 0.99);
-    out.per_window.push_back({percentile(window.first, 0.5), percentile(window.first, 0.99),
-                              lag, window.first.size(), lag <= lag_bound_s});
-    if (lag <= lag_bound_s) ++out.valid_windows;
+    windows.push_back(window_stat(window.first, window.second, lag_bound_s));
   }
-  out.windows = out.per_window.size();
-  // With no valid window, the calmest one (smallest send lag) stands in.
-  double calmest = std::numeric_limits<double>::infinity();
-  for (const WindowStat& w : out.per_window) calmest = std::min(calmest, w.lag_p99_s);
-  std::vector<double> p50s, p99s;
-  for (const WindowStat& w : out.per_window) {
-    if (w.valid || (out.valid_windows == 0 && w.lag_p99_s == calmest)) {
-      out.count += w.count;
-      p50s.push_back(w.p50_s);
-      p99s.push_back(w.p99_s);
-    }
-  }
-  out.p50_s = median(p50s);
-  out.p99_s = median(p99s);
+  WindowedLatency out = combine_windows(std::move(windows));
+  out.lag_p99_s = percentile(lags, 0.99);
   return out;
 }
 
@@ -274,6 +285,11 @@ std::vector<grid::Config> configs_of(const common::Dataset& data) {
   return configs;
 }
 
+bool same_dataset(const common::Dataset& a, const common::Dataset& b) {
+  return a.x.rows() == b.x.rows() && a.x.cols() == b.x.cols() && bitwise_equal(a.y, b.y) &&
+         std::memcmp(a.x.data(), b.x.data(), a.x.rows() * a.x.cols() * sizeof(double)) == 0;
+}
+
 std::uint64_t file_bytes(const std::string& path) {
   return static_cast<std::uint64_t>(std::filesystem::file_size(path));
 }
@@ -295,7 +311,6 @@ int cmd_fit_kripke(const CliArgs& args) {
   const auto samples = static_cast<std::size_t>(args.get_int("samples", 8192));
   const auto heldout = static_cast<std::size_t>(args.get_int("heldout", 4096));
   const double seconds = args.get_double("seconds", 10.0);
-  const int setup_reps = static_cast<int>(args.get_int("setup-reps", 5));
   const bool trace = args.get_bool("trace", false);
   const std::string dir = args.get_string("dir", ".");
   const std::uint64_t run_start = now_ns();
@@ -303,39 +318,47 @@ int cmd_fit_kripke(const CliArgs& args) {
   JsonObject out;
   std::uint64_t attempted = 0, failed = 0;
 
-  // Set-up: dataset generation, repeated; the median is setup_s.
+  // Set-up: dataset generation. It is repeated twice after every fit, so
+  // the set-ups spread over the whole run like the fits and predicts do
+  // (the host's speed changes within seconds), and every repeat must
+  // generate the same datasets bitwise. The median is setup_s.
   common::Dataset train, test;
   std::vector<double> setup_seconds;
-  for (int rep = 0; rep < setup_reps; ++rep) {
+  const auto set_up = [&] {
     const std::uint64_t start = now_ns();
-    train = training_set(seed, samples);
-    test = heldout_set(seed, heldout);
+    common::Dataset again_train = training_set(seed, samples);
+    common::Dataset again_test = heldout_set(seed, heldout);
     setup_seconds.push_back(seconds_since(start));
     spans.add("apps.generate_dataset", start, now_ns());
-  }
+    if (train.size() == 0) {
+      train = std::move(again_train);
+      test = std::move(again_test);
+      return;
+    }
+    ++attempted;
+    if (!same_dataset(again_train, train) || !same_dataset(again_test, test)) {
+      ++failed;
+      std::cerr << "fit-kripke: dataset generation is not deterministic\n";
+    }
+  };
+  set_up();
 
   // Measured, until 90% of the run has passed: a fit of `cpr` through the
   // registry at the default OpenMP team, an fp64 archive save and reload,
-  // and one pass of in-process predict() calls on the reloaded model, one
-  // query per call. Every fit must predict the held-out set bitwise like
-  // the first (the fit is deterministic at any thread count), and every
-  // reloaded archive bitwise like the model it was saved from.
+  // and kPredictPasses passes of predict_batch over the held-out set on the
+  // reloaded model, at the default team too. Every fit must predict the
+  // held-out set bitwise like the first (the fit is deterministic at any
+  // thread count), and every reloaded archive and every pass bitwise like
+  // that. A single-threaded predict() per query would time one core, and a
+  // core of this shared host runs about 1.6x faster or slower for seconds
+  // at a time; a pass over all cores moves about a tenth as much.
+  constexpr std::size_t kPredictPasses = 32;
   const std::uint64_t deadline = run_start + static_cast<std::uint64_t>(0.9 * seconds * 1e9);
-  const std::vector<grid::Config> queries = configs_of(test);
   const std::string archive = dir + "/kripke-cpr" + core::kModelFileExtension;
-  // Each predict pass runs pinned to the next core in turn, so the median
-  // covers every core rather than the one the scheduler happened to pick
-  // (on a shared host a core's speed depends on its neighbours).
-  cpu_set_t all_cpus;
-  CPU_ZERO(&all_cpus);
-  ::sched_getaffinity(0, sizeof(all_cpus), &all_cpus);
-  std::vector<int> cpus;
-  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-    if (CPU_ISSET(cpu, &all_cpus)) cpus.push_back(cpu);
-  }
-  std::vector<double> fit_seconds, reference;
-  std::vector<Sample> calls;
-  calls.reserve(64 * queries.size());
+  const double per_query = 1.0 / static_cast<double>(test.size());
+  std::vector<double> fit_seconds, reference, pass_seconds(kPredictPasses);
+  const std::vector<double> no_lag(kPredictPasses, 0.0);
+  std::vector<WindowStat> fits;  // one window per fit: its passes' per-query times
   common::RegressorPtr reloaded;
   do {
     auto model = common::ModelRegistry::instance().create("cpr", model_spec("cpr"));
@@ -357,26 +380,20 @@ int cmd_fit_kripke(const CliArgs& args) {
     start = now_ns();
     reloaded = core::load_model_file(archive);
     spans.add("core.load_model_file", start, now_ns());
-    ++attempted;
-    if (!bitwise_equal(reloaded->predict_batch(test.x), reference)) {
-      ++failed;
-      std::cerr << "fit-kripke: reloaded archive predicts differently\n";
-    }
-    const std::size_t pass = fit_seconds.size() - 1;
-    cpu_set_t one_cpu;
-    CPU_ZERO(&one_cpu);
-    CPU_SET(cpus[pass % cpus.size()], &one_cpu);
-    ::sched_setaffinity(0, sizeof(one_cpu), &one_cpu);
-    start = now_ns();
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      const std::uint64_t t0 = now_ns();
-      const double value = reloaded->predict(queries[i]);
-      calls.push_back({pass, static_cast<double>(now_ns() - t0) * 1e-9, 0.0});
+    for (std::size_t pass = 0; pass < kPredictPasses; ++pass) {
+      start = now_ns();
+      const std::vector<double> values = reloaded->predict_batch(test.x);
+      pass_seconds[pass] = seconds_since(start) * per_query;
+      spans.add("core.Regressor.predict_batch", start, now_ns());
       ++attempted;
-      if (std::memcmp(&value, &reference[i], sizeof(double)) != 0) ++failed;
+      if (!bitwise_equal(values, reference)) {
+        ++failed;
+        std::cerr << "fit-kripke: reloaded archive predicts differently\n";
+      }
     }
-    spans.add("core.Regressor.predict", start, now_ns());
-    ::sched_setaffinity(0, sizeof(all_cpus), &all_cpus);
+    fits.push_back(window_stat(pass_seconds, no_lag, 0.0));
+    set_up();
+    set_up();
   } while (fit_seconds.size() < 2 || now_ns() < deadline);
 
   out.num("setup_s", median(setup_seconds));
@@ -391,7 +408,7 @@ int cmd_fit_kripke(const CliArgs& args) {
   out.raw("fit_all_s", all + "]");
   out.num("fit_mlogq", metrics::mlogq(reference, test.y));
   out.num("model_bytes", static_cast<double>(file_bytes(archive)));
-  out.raw("predict_us", summarize_windows(calls, 1.0).json(1e6));
+  out.raw("predict_us", combine_windows(std::move(fits)).json(1e6));
   out.num("peak_rss_mb", peak_rss_mib());
   out.num("attempted", static_cast<double>(attempted));
   out.num("failed", static_cast<double>(failed));
@@ -399,7 +416,7 @@ int cmd_fit_kripke(const CliArgs& args) {
   out.num("apps.generate_s", median(setup_seconds));
   if (trace) {
     JsonObject layers;
-    run_layer_probes(train, *reloaded, queries, archive, seed, spans,
+    run_layer_probes(train, *reloaded, configs_of(test), archive, seed, spans,
                      dir + "/profile_trace.json", layers);
     out.raw("layers", layers.render());
     if (!spans.write(dir + "/harness_trace.json")) return 1;
@@ -442,17 +459,73 @@ int cmd_fixture(const CliArgs& args) {
   out.num("model_bytes", static_cast<double>(file_bytes(archive)));
   out.num("samples", static_cast<double>(samples));
 
-  if (trace) {
-    // The probe queries are the configurations the load client will send.
-    const std::vector<grid::Config> queries =
-        family == "cpr" ? distinct_configs(seed, 4096) : hot_set(seed);
-    JsonObject layers;
-    run_layer_probes(train, *model, queries, trace_dir + "/probe" + core::kModelFileExtension,
-                     seed, spans, trace_dir + "/profile_trace.json", layers);
-    out.raw("layers", layers.render());
-    if (!spans.write(trace_dir + "/harness_trace.json")) return 1;
-  }
+  if (trace && !spans.write(trace_dir + "/harness_trace.json")) return 1;
   std::cout << out.render() << "\n";
+  return 0;
+}
+
+// --------------------------------------------------------------- probes
+
+int cmd_probes(const CliArgs& args) {
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const auto samples = static_cast<std::size_t>(args.get_int("samples", 8192));
+  const std::string family = args.get_string("family", "cpr");
+  const std::string archive = args.get_string("archive", "");
+  const std::string trace_dir = args.get_string("trace-dir", ".");
+  Spans spans(true);
+  const common::Dataset train = training_set(seed, samples);
+  const common::RegressorPtr model = core::load_model_file(archive);
+  // The probe queries are the configurations the load client will send.
+  const std::vector<grid::Config> queries =
+      family == "cpr" ? distinct_configs(seed, 4096) : hot_set(seed);
+  JsonObject layers;
+  run_layer_probes(train, *model, queries, trace_dir + "/probe" + core::kModelFileExtension,
+                   seed, spans, trace_dir + "/profile_trace.json", layers);
+  if (!spans.write(trace_dir + "/probes_trace.json")) return 1;
+  JsonObject out;
+  out.raw("layers", layers.render());
+  std::cout << out.render() << "\n";
+  return 0;
+}
+
+// ------------------------------------------------------------ idle-spin
+
+// On a virtual machine, a virtual CPU with nothing to run halts, and the
+// host gives it back only when it next gets round to it: on a busy host,
+// milliseconds after the thread that woke it (a server or OpenMP thread,
+// the client) became runnable. Measured on a 4-vCPU VM in such a period,
+// serve-miss windows read a p50 of 2 to 5 ms and no window was on time;
+// with these spinners, 0.5 ms, as in the host's calm periods. One thread
+// per core spins at SCHED_IDLE, which any runnable thread of the benchmark
+// or the server preempts at once inside the guest, so the cores never halt.
+int cmd_idle_spin() {
+  ::prctl(PR_SET_PDEATHSIG, SIGKILL);  // never outlive the benchmark
+  cpu_set_t all_cpus;
+  CPU_ZERO(&all_cpus);
+  ::sched_getaffinity(0, sizeof(all_cpus), &all_cpus);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> spinners;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &all_cpus)) continue;
+    spinners.emplace_back([&stop, cpu] {
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpu, &one);
+      ::pthread_setaffinity_np(::pthread_self(), sizeof(one), &one);
+      const sched_param lowest{};
+      ::pthread_setschedparam(::pthread_self(), SCHED_IDLE, &lowest);
+      while (!stop.load(std::memory_order_relaxed)) {
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#endif
+      }
+    });
+  }
+  char ignored;
+  while (std::cin.get(ignored)) {
+  }
+  stop = true;
+  for (std::thread& t : spinners) t.join();
   return 0;
 }
 
@@ -462,15 +535,18 @@ int cmd_fixture(const CliArgs& args) {
 int main(int argc, char** argv) {
   using namespace perfbench;
   if (argc < 2) {
-    std::cerr << "usage: perfbench_harness env|fit-kripke|fixture|client [--flags]\n";
+    std::cerr << "usage: perfbench_harness env|fit-kripke|fixture|probes|client|idle-spin"
+                 " [--flags]\n";
     return 2;
   }
   const std::string command = argv[1];
   const cpr::CliArgs args(argc - 1, argv + 1);
   try {
     if (command == "env") return cmd_env();
+    if (command == "idle-spin") return cmd_idle_spin();
     if (command == "fit-kripke") return cmd_fit_kripke(args);
     if (command == "fixture") return cmd_fixture(args);
+    if (command == "probes") return cmd_probes(args);
     if (command == "client") return run_load_client(args);
   } catch (const std::exception& e) {
     std::cerr << "perfbench_harness " << command << ": " << e.what() << "\n";

@@ -52,9 +52,6 @@ class JsonObject {
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 
-/// Summary of a latency sample: median, p99 and count, in `scale` units.
-std::string latency_summary(const std::vector<double>& seconds, double scale);
-
 /// One timed request or call: the window (second of the phase, or pass) it
 /// was due in, its latency (NaN when it failed) and how late it was sent.
 struct Sample {
@@ -68,8 +65,8 @@ struct Sample {
 /// `lag_bound_s` is invalid, since the generator ran late, and is left out.
 /// Each percentile is the median over the valid windows of that window's
 /// own percentile, so a stall that hits a minority of the windows does not
-/// move it. With no valid window, the calmest window (smallest p99 send lag)
-/// stands in and valid_windows stays 0.
+/// move it. With no valid window the percentiles are NaN (null in JSON):
+/// the phase timed the host, not the program.
 struct WindowStat {
   double p50_s = 0.0, p99_s = 0.0, lag_p99_s = 0.0;
   std::size_t count = 0;
@@ -82,6 +79,12 @@ struct WindowedLatency {
   bool valid() const { return windows > 0 && 2 * valid_windows >= windows; }
   std::string json(double scale) const;
 };
+/// One window's percentiles; valid when its p99 send lag is within the bound.
+WindowStat window_stat(const std::vector<double>& latencies, const std::vector<double>& lags,
+                       double lag_bound_s);
+/// The phase summary over its windows (send_lag_p99 is left 0).
+WindowedLatency combine_windows(std::vector<WindowStat> windows);
+/// Groups timed samples by window, then combines the windows.
 WindowedLatency summarize_windows(const std::vector<Sample>& samples, double lag_bound_s);
 
 /// Spans recorded from the harness around its calls into each layer. Kept in

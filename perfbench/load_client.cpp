@@ -14,7 +14,7 @@
 //
 // Both measured phases run in 1-second windows and go on, within a cap,
 // until enough windows are valid (the generator sent on time); see
-// summarize_windows.
+// phase_done and summarize_windows.
 //
 // Output checks: every serve-miss reply must equal the in-process
 // predict_batch of the served archive bitwise. serve-hot-observe replays the
@@ -308,6 +308,18 @@ struct Counts {
   std::uint64_t failed = 0;
 };
 
+/// When a measured phase of 1-second windows may stop: after `min_s`, once
+/// a quarter of the run's seconds are valid windows; at the latest at 1.5x
+/// the run, or at 3x the run while no window is valid yet. A window is
+/// valid when the generator, alone on its core, sent on time; on a host that
+/// deschedules virtual CPUs the invalid windows time the host, not the
+/// server.
+bool phase_done(double elapsed_s, double min_s, double run_s, std::size_t valid_windows) {
+  const auto wanted = static_cast<std::size_t>(std::ceil(0.25 * run_s));
+  return (elapsed_s >= min_s && valid_windows >= wanted) ||
+         elapsed_s >= (valid_windows > 0 ? 1.5 : 3.0) * run_s;
+}
+
 // --------------------------------------------------------------- serve-miss
 
 struct PointResult {
@@ -406,7 +418,6 @@ void run_serve_miss(const CliArgs& args, LoadClient& client, const common::Regre
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const double seconds = args.get_double("seconds", 10.0);
   const std::string name = args.get_string("model", "kripke-cpr");
-  const std::uint64_t run_start = now_ns();
   DistinctConfigs stream(seed);
   Rng rng(seed ^ 0xa11ull);
   std::uint64_t next_request_id = 1;
@@ -428,12 +439,8 @@ void run_serve_miss(const CliArgs& args, LoadClient& client, const common::Regre
   account(run_miss_point(client, stream, model, name, kMissQps, 0.05 * seconds, rng, spans,
                          "serve_miss.warmup", next_request_id),
           true);
-  // The fixed-rate phase runs in 1-second windows: for at least half the
-  // run, and on until a quarter of the run's seconds are valid windows, but
-  // never past 1.5x the run. A window is valid when the generator, alone on
-  // its core, sent on time; on a host that deschedules virtual CPUs the
-  // invalid windows time the host, not the server.
-  const auto wanted_valid = static_cast<std::size_t>(std::ceil(0.25 * seconds));
+  // The fixed-rate phase runs in 1-second windows for at least half the run
+  // (see phase_done).
   const std::uint64_t fixed_start = now_ns();
   Scrape before, after;
   PointResult fixed;
@@ -442,9 +449,8 @@ void run_serve_miss(const CliArgs& args, LoadClient& client, const common::Regre
     merge(fixed, run_miss_point(client, stream, model, name, kMissQps, 1.0, rng, spans,
                                 "serve_miss.fixed_rate", next_request_id, window,
                                 window == 0 ? &before : nullptr, &after));
-    const double elapsed = seconds_since(fixed_start);
-    if ((elapsed >= 0.5 * seconds && fixed.latency.valid_windows >= wanted_valid) ||
-        elapsed >= 1.5 * seconds) {
+    if (phase_done(seconds_since(fixed_start), 0.5 * seconds, seconds,
+                   fixed.latency.valid_windows)) {
       break;
     }
   }
@@ -452,15 +458,17 @@ void run_serve_miss(const CliArgs& args, LoadClient& client, const common::Regre
   points += point_json(fixed);
   record_serve_layers(after, before, out);
 
-  // Rate search: double from 2x the fixed rate while the limit holds, then
-  // bisect, until the run's time is used up. A point where the generator
-  // itself ran late is invalid and neither passes nor fails.
+  // Rate search, in a time slice of its own after the fixed-rate phase:
+  // double from 2x the fixed rate while the limit holds, then bisect. A
+  // point where the generator itself ran late is invalid and neither passes
+  // nor fails; with no valid point, max_qps_at_slo is not measured (null).
   const double point_s = std::max(0.5, 0.04 * seconds);
   double best = fixed.meets_slo() && fixed.latency.valid() ? kMissQps : 0.0;
   double failing = 0.0;
   double qps = 2.0 * kMissQps;
   bool retried = false;
-  const double budget_end = static_cast<double>(run_start) + 0.92 * seconds * 1e9;
+  std::size_t valid_points = 0;
+  const double budget_end = static_cast<double>(now_ns()) + 0.35 * seconds * 1e9;
   while (static_cast<double>(now_ns()) + (point_s + 0.3) * 1e9 < budget_end && qps <= 64000) {
     const PointResult p = run_miss_point(client, stream, model, name, qps, point_s, rng, spans,
                                          "serve_miss.rate_point", next_request_id);
@@ -472,6 +480,7 @@ void run_serve_miss(const CliArgs& args, LoadClient& client, const common::Regre
       retried = true;
       continue;
     }
+    ++valid_points;
     if (p.meets_slo()) {
       best = std::max(best, qps);
     } else {
@@ -487,7 +496,8 @@ void run_serve_miss(const CliArgs& args, LoadClient& client, const common::Regre
   points += "]";
 
   out.raw("predict_us", fixed.latency.json(1e6));
-  out.num("max_qps_at_slo", best);
+  out.num("max_qps_at_slo", valid_points ? best : std::nan(""));
+  out.num("rate_points_valid", static_cast<double>(valid_points));
   out.num("client.send_lag_us", fixed.latency.lag_p99_s * 1e6);
   out.flag("latency_valid", fixed.latency.valid());
   out.flag("cache_honest", honest_cache);
@@ -531,14 +541,13 @@ void run_serve_hot_observe(const CliArgs& args, LoadClient& client,
   // PREDICTs round-robin over connections 0..2; OBSERVEs and REFITs in
   // order on connection 3, which holds one request at a time. The phase runs
   // in 1-second segments, each its own Poisson schedule, like the serve-miss
-  // fixed-rate phase: for at least 0.85x the run, and on until a quarter of
-  // the run's seconds are valid windows, but never past 1.5x the run. The
+  // fixed-rate phase, for at least 0.85x the run (see phase_done). The
   // truth shifts from 0.425x the run on.
   client.conn(3).serialized = true;
-  const auto wanted_valid = static_cast<std::size_t>(std::ceil(0.25 * seconds));
   std::vector<Request> requests;
   std::vector<std::pair<std::size_t, double>> observations;  // (hot item, seconds)
-  std::size_t predicts = 0, valid_windows = 0;
+  std::vector<Sample> sent_predicts;  // provisional: replies not yet checked
+  std::size_t predicts = 0;
   const Scrape before = client.metrics();
   const std::uint64_t phase_span = spans.open("serve_hot_observe.mixed");
   const std::uint64_t phase_start = now_ns();
@@ -578,16 +587,16 @@ void run_serve_hot_observe(const CliArgs& args, LoadClient& client,
     }
     const std::uint64_t start = start_schedule(segment);
     client.run(segment, start + 30'000'000'000ull);
-    std::vector<double> lags;
     for (const Request& r : segment) {
-      if (r.kind == Kind::Predict) lags.push_back(static_cast<double>(r.sent_ns - r.due_ns) * 1e-9);
+      if (r.kind == Kind::Predict && r.done) {
+        sent_predicts.push_back({window, static_cast<double>(r.done_ns - r.due_ns) * 1e-9,
+                                 static_cast<double>(r.sent_ns - r.due_ns) * 1e-9});
+      }
     }
-    if (percentile(lags, 0.99) <= kSendLagBoundSeconds) ++valid_windows;
     requests.insert(requests.end(), std::make_move_iterator(segment.begin()),
                     std::make_move_iterator(segment.end()));
-    const double elapsed = seconds_since(phase_start);
-    if ((elapsed >= 0.85 * seconds && valid_windows >= wanted_valid) ||
-        elapsed >= 1.5 * seconds) {
+    if (phase_done(seconds_since(phase_start), 0.85 * seconds, seconds,
+                   summarize_windows(sent_predicts, kSendLagBoundSeconds).valid_windows)) {
       break;
     }
   }
@@ -607,7 +616,7 @@ void run_serve_hot_observe(const CliArgs& args, LoadClient& client,
   std::vector<const Request*> refits;
   std::size_t replayed = 0;
   const common::Regressor* current = &archive_model;
-  std::vector<double> observe_latency, refit_latency;
+  std::vector<Sample> observe_latency, refit_latency;  // pooled: one window
   std::vector<Sample> predict_samples;
   for (const Request& r : requests) {
     if (!r.done) {
@@ -617,10 +626,10 @@ void run_serve_hot_observe(const CliArgs& args, LoadClient& client,
     const bool ok = r.reply.compare(0, 3, "OK ") == 0;
     if (r.kind == Kind::Observe) {
       if (!ok) ++counts.failed;
-      observe_latency.push_back(static_cast<double>(r.done_ns - r.sent_ns) * 1e-9);
+      observe_latency.push_back({0, static_cast<double>(r.done_ns - r.sent_ns) * 1e-9, 0.0});
     } else if (r.kind == Kind::Refit) {
       refits.push_back(&r);
-      refit_latency.push_back(static_cast<double>(r.done_ns - r.sent_ns) * 1e-9);
+      refit_latency.push_back({0, static_cast<double>(r.done_ns - r.sent_ns) * 1e-9, 0.0});
       const std::string expect = "observations=" + std::to_string(kRefitEvery);
       if (!ok || r.reply.find(expect) == std::string::npos) ++counts.failed;
       BufferSink sink;
@@ -671,8 +680,8 @@ void run_serve_hot_observe(const CliArgs& args, LoadClient& client,
   const WindowedLatency predict_latency =
       summarize_windows(predict_samples, kSendLagBoundSeconds);
   out.raw("predict_us", predict_latency.json(1e6));
-  out.raw("observe_us", latency_summary(observe_latency, 1e6));
-  out.raw("refit_ms", latency_summary(refit_latency, 1e3));
+  out.raw("observe_us", summarize_windows(observe_latency, 0.0).json(1e6));
+  out.raw("refit_ms", summarize_windows(refit_latency, 0.0).json(1e3));
   out.num("served_mlogq", metrics::mlogq(tail_predictions, tail_truths));
   out.num("served_mlogq_count", static_cast<double>(tail_predictions.size()));
   out.num("client.send_lag_us", predict_latency.lag_p99_s * 1e6);

@@ -44,11 +44,11 @@ OBSCHECK = os.path.join(BUILD, "cpr", "tools", "cpr_obscheck")
 
 # Workload sizes. The serve workloads fit the archive they serve during each
 # of their set-ups; fit-kripke fits the same size repeatedly as its
-# measured work, and its set-up (dataset generation alone, about 30 ms) is
-# repeated more often for a steady median.
+# measured work, and repeats its set-up (dataset generation alone, about
+# 30 ms) after every fit.
 SIZES = {
-    "full": {"samples": 8192, "heldout": 4096, "setup_reps": 5, "generate_reps": 15},
-    "tiny": {"samples": 1024, "heldout": 256, "setup_reps": 1, "generate_reps": 1},
+    "full": {"samples": 8192, "heldout": 4096, "setup_reps": 5},
+    "tiny": {"samples": 1024, "heldout": 256, "setup_reps": 1},
 }
 SERVED_MODEL = {"serve-miss": ("cpr", "kripke-cpr"),
                 "serve-hot-observe": ("cpr-online", "kripke-online")}
@@ -218,8 +218,7 @@ class Server:
 def run_fit_kripke(args, size, work):
     r = harness(["fit-kripke", f"--seed={args.seed}", f"--samples={size['samples']}",
                  f"--heldout={size['heldout']}", f"--seconds={args.seconds}",
-                 f"--setup-reps={size['generate_reps']}", f"--trace={args.trace}",
-                 f"--dir={work}"])
+                 f"--trace={args.trace}", f"--dir={work}"])
     return {
         "e2e": {
             "setup_s": (r["setup_s"], r["setup_reps"]),
@@ -271,13 +270,19 @@ def run_serve(args, size, work):
                 raise RuntimeError(f"first PREDICT failed: {reply}")
             fit_s.append(fixture["fit_s"])
             generate_s.append(fixture["apps.generate_s"])
+        archive = os.path.join(models, model + ".cprm")
+        # The traced run's layer probes run after the timed set-ups, so the
+        # traced setup_s never includes them.
+        probes = harness(["probes", f"--seed={args.seed}", f"--samples={size['samples']}",
+                          f"--family={family}", f"--archive={archive}",
+                          f"--trace-dir={work}"]) if args.trace else {}
         # The client runs its in-process reference predictions on one
         # thread, so it leaves the cores to the server.
         env = dict(os.environ, OMP_NUM_THREADS="1")
         c = harness(["client", f"--workload={args.workload}", f"--port={server.port}",
                      f"--seed={args.seed}", f"--seconds={args.seconds}",
-                     f"--archive={os.path.join(models, model + '.cprm')}",
-                     f"--model={model}", f"--trace={args.trace}", f"--dir={work}"],
+                     f"--archive={archive}", f"--model={model}",
+                     f"--trace={args.trace}", f"--dir={work}"],
                     env=env, cpus=cpu_split()[1])
         code, rss = server.stop()
         server = None
@@ -295,12 +300,13 @@ def run_serve(args, size, work):
         "peak_rss_mb": (rss, 1),
     }
     if args.workload == "serve-miss":
-        e2e["max_qps_at_slo"] = (c["max_qps_at_slo"], len(c["rate_points"]))
+        # None (null) when no rate point of the search was valid.
+        e2e["max_qps_at_slo"] = (c["max_qps_at_slo"], c["rate_points_valid"])
     else:
         e2e["observe_p50_us"] = (c["observe_us"]["p50"], c["observe_us"]["count"])
         e2e["refit_p50_ms"] = (c["refit_ms"]["p50"], c["refit_ms"]["count"])
         e2e["served_mlogq"] = (c["served_mlogq"], c["served_mlogq_count"])
-    layers = dict(fixture.get("layers", {}))
+    layers = dict(probes.get("layers", {}))
     layers["apps.generate_s"] = statistics.median(generate_s)
     layers.update({k: v for k, v in c.items() if k.startswith(("serve.", "client."))})
     checks = {
@@ -357,13 +363,15 @@ def print_report(result, bench):
     print("environment: " + json.dumps(result["env"], sort_keys=True))
     units = dict(e2e_units(bench), **UNGATED_E2E_UNITS)
     for name, (value, count) in result["e2e"].items():
-        print(f"  e2e   {name:<28} {value:>16.6g} {units[name]:<6} n={count}")
+        shown = "invalid" if value is None else f"{value:.6g}"
+        print(f"  e2e   {name:<28} {shown:>16} {units[name]:<6} n={count}")
     print(f"  e2e   {'error_rate':<28} {result['error_rate']:>16.6g} {'ratio':<6} "
           f"n={result['attempted']}")
     for p in result["detail"].get("rate_points", []):
-        lat = p["latency_us"]
-        print(f"  point qps={p['qps']:<8g} p50={lat['p50']:.1f}us p99={lat['p99']:.1f}us "
-              f"send_lag_p99={lat['send_lag_p99']:.1f}us valid={p['valid']} "
+        lat = {k: "invalid" if v is None else f"{v:.1f}us" for k, v in p["latency_us"].items()
+               if k in ("p50", "p99", "send_lag_p99")}
+        print(f"  point qps={p['qps']:<8g} p50={lat['p50']} p99={lat['p99']} "
+              f"send_lag_p99={lat['send_lag_p99']} valid={p['valid']} "
               f"meets_slo={p['meets_slo']} sent={p['sent']:g}")
     # Untraced runs carry the serve counters only (the server's METRICS);
     # the traced run adds the probes of every layer.
@@ -395,11 +403,18 @@ def run_once(args):
     shutil.rmtree(work, ignore_errors=True)
     os.makedirs(work)
     env = environment_block(args)
-    if args.workload == "fit-kripke":
-        result = run_fit_kripke(args, size, work)
-        result["layers"].update(fit_only_layers())
-    else:
-        result = run_serve(args, size, work)
+    # For the whole run, idle-spin keeps every core from halting (see
+    # harness.cpp), so no timing includes the host waking a virtual CPU.
+    spinner = subprocess.Popen([HARNESS, "idle-spin"], stdin=subprocess.PIPE)
+    try:
+        if args.workload == "fit-kripke":
+            result = run_fit_kripke(args, size, work)
+            result["layers"].update(fit_only_layers())
+        else:
+            result = run_serve(args, size, work)
+    finally:
+        spinner.stdin.close()
+        spinner.wait()
     result["env"] = env
     result["trace"] = args.trace
     result["error_rate"] = result["failed"] / max(1, result["attempted"])
@@ -414,7 +429,8 @@ def run_once(args):
             result["tracing_overhead"] = {
                 name: value / base[name][0] - 1.0
                 for name, (value, _) in result["e2e"].items()
-                if name in base and base[name][0] and name != "fit_mlogq"}
+                if value is not None and name in base and base[name][0]
+                and name != "fit_mlogq"}
     os.makedirs(os.path.join(BUILD, "results"), exist_ok=True)
     keep = os.path.join(BUILD, "results", f"{args.workload}-seed{args.seed}-trace{args.trace}")
     shutil.rmtree(keep, ignore_errors=True)
@@ -434,7 +450,9 @@ def run_once(args):
     else:
         wanted = [(m["name"], m["unit"]) for m in bench["end_to_end"]]
         values = {name: value for name, (value, _) in result["e2e"].items()}
-    missing = [name for name, _ in wanted if name not in values]
+    # A latency is None when no window was valid: the generator ran late in
+    # every window, so the phase timed the host, not the program.
+    missing = [name for name, _ in wanted if values.get(name) is None]
     if missing:
         raise RuntimeError(f"metrics not measured: {missing}")
     correct = all(result["checks"].values()) and result["failed"] == 0
@@ -461,7 +479,7 @@ def compare(path_a, path_b):
         return 3
     for name, (value_a, _) in a["e2e"].items():
         value_b = b["e2e"].get(name, [None])[0]
-        if value_b is not None:
+        if value_a is not None and value_b is not None:
             change = (value_b / value_a - 1.0) if value_a else float("nan")
             print(f"{name:<28} {value_a:>14.6g} {value_b:>14.6g} {change:>+9.2%}")
     return 0
@@ -476,7 +494,7 @@ def smoke():
         for trace in (0, 1):
             done = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--workload", workload,
-                 "--seed", "1", "--seconds", "2", "--trace", str(trace), "--size", "tiny"],
+                 "--seed", "1", "--seconds", "5", "--trace", str(trace), "--size", "tiny"],
                 capture_output=True, text=True, timeout=600)
             try:
                 out = json.loads(done.stdout.strip().splitlines()[-1])
