@@ -10,6 +10,7 @@
 //               save/reload with a bitwise check, in-process predict latency
 //   fixture     set-up of a serve workload: dataset generation and the fit
 //               of the archive the server will serve
+//   fits        warm fits of a serve workload's family, timed for its fit_s
 //   probes      the per-layer probes (probes.cpp) of a serve workload, over
 //               its archive, training set and query stream; traced runs only
 //   client      the open-loop load client of a serve workload
@@ -290,6 +291,15 @@ bool same_dataset(const common::Dataset& a, const common::Dataset& b) {
          std::memcmp(a.x.data(), b.x.data(), a.x.rows() * a.x.cols() * sizeof(double)) == 0;
 }
 
+std::string number_list(const std::vector<double>& values) {
+  std::string list = "[";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i) list += ',';
+    list += format_number(values[i]);
+  }
+  return list + "]";
+}
+
 std::uint64_t file_bytes(const std::string& path) {
   return static_cast<std::uint64_t>(std::filesystem::file_size(path));
 }
@@ -321,14 +331,31 @@ int cmd_fit_kripke(const CliArgs& args) {
   // Set-up: dataset generation. It is repeated twice after every fit, so
   // the set-ups spread over the whole run like the fits and predicts do
   // (the host's speed changes within seconds), and every repeat must
-  // generate the same datasets bitwise. The median is setup_s.
+  // generate the same datasets bitwise. The median is setup_s. Generation
+  // is single-threaded, and a core of this shared host can run 1.5x slower
+  // than the others for a whole run, so repeat i runs on the i-th of the
+  // process's cores in turn and the median weighs all of them alike.
   common::Dataset train, test;
   std::vector<double> setup_seconds;
+  cpu_set_t all_cpus;
+  CPU_ZERO(&all_cpus);
+  ::pthread_getaffinity_np(::pthread_self(), sizeof(all_cpus), &all_cpus);
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &all_cpus)) cpus.push_back(cpu);
+  }
   const auto set_up = [&] {
+    if (!cpus.empty()) {
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpus[setup_seconds.size() % cpus.size()], &one);
+      ::pthread_setaffinity_np(::pthread_self(), sizeof(one), &one);
+    }
     const std::uint64_t start = now_ns();
     common::Dataset again_train = training_set(seed, samples);
     common::Dataset again_test = heldout_set(seed, heldout);
     setup_seconds.push_back(seconds_since(start));
+    ::pthread_setaffinity_np(::pthread_self(), sizeof(all_cpus), &all_cpus);
     spans.add("apps.generate_dataset", start, now_ns());
     if (train.size() == 0) {
       train = std::move(again_train);
@@ -349,25 +376,41 @@ int cmd_fit_kripke(const CliArgs& args) {
   // reloaded model, at the default team too. Every fit must predict the
   // held-out set bitwise like the first (the fit is deterministic at any
   // thread count), and every reloaded archive and every pass bitwise like
-  // that. A single-threaded predict() per query would time one core, and a
-  // core of this shared host runs about 1.6x faster or slower for seconds
-  // at a time; a pass over all cores moves about a tenth as much.
-  constexpr std::size_t kPredictPasses = 32;
+  // that. The first fit warms the process (OpenMP team, allocator, first
+  // touch of its pages) and is checked but not timed. A single-threaded
+  // predict() per query would time one core, and a core of this shared
+  // host runs about 1.6x faster or slower for seconds at a time; a pass
+  // over all cores moves about a tenth as much. The host reference runs
+  // before the first fit, after each fit and after each fit's passes;
+  // fit_s and predict_p50_us are at nominal host speed (harness.hpp).
+  constexpr std::size_t kPredictPasses = 64;
   const std::uint64_t deadline = run_start + static_cast<std::uint64_t>(0.9 * seconds * 1e9);
   const std::string archive = dir + "/kripke-cpr" + core::kModelFileExtension;
   const double per_query = 1.0 / static_cast<double>(test.size());
-  std::vector<double> fit_seconds, reference, pass_seconds(kPredictPasses);
+  std::vector<double> fit_seconds, reference;
+  std::vector<double> pass_seconds(kPredictPasses);
   const std::vector<double> no_lag(kPredictPasses, 0.0);
   std::vector<WindowStat> fits;  // one window per fit: its passes' per-query times
   common::RegressorPtr reloaded;
+  HostReference host;
+  const auto measure_host = [&] {
+    const std::uint64_t start = now_ns();
+    const double seconds_taken = host.measure();
+    spans.add("perfbench.host_reference", start, now_ns());
+    return seconds_taken;
+  };
+  measure_host();
   do {
     auto model = common::ModelRegistry::instance().create("cpr", model_spec("cpr"));
     std::uint64_t start = now_ns();
     model->fit(train);
-    fit_seconds.push_back(seconds_since(start));
+    const double fit_time = seconds_since(start);
     spans.add("common.Regressor.fit", start, now_ns());
+    measure_host();
     std::vector<double> predictions = model->predict_batch(test.x);
     ++attempted;
+    const bool timed = !reference.empty();
+    if (timed) fit_seconds.push_back(fit_time);
     if (reference.empty()) {
       reference = std::move(predictions);
     } else if (!bitwise_equal(predictions, reference)) {
@@ -391,24 +434,28 @@ int cmd_fit_kripke(const CliArgs& args) {
         std::cerr << "fit-kripke: reloaded archive predicts differently\n";
       }
     }
-    fits.push_back(window_stat(pass_seconds, no_lag, 0.0));
+    if (timed) fits.push_back(window_stat(pass_seconds, no_lag, 0.0));
+    measure_host();
     set_up();
     set_up();
   } while (fit_seconds.size() < 2 || now_ns() < deadline);
 
-  out.num("setup_s", median(setup_seconds));
+  const double host_seconds = median(host.all());
+  out.num("setup_s", at_nominal_speed(median(setup_seconds), host_seconds));
+  out.num("setup_wall_s", median(setup_seconds));
   out.num("setup_reps", static_cast<double>(setup_seconds.size()));
-  out.num("fit_s", median(fit_seconds));
+  const WindowedLatency predict = combine_windows(std::move(fits));
+  out.num("fit_s", at_nominal_speed(median(fit_seconds), host_seconds));
+  out.num("fit_wall_s", median(fit_seconds));
   out.num("fit_count", static_cast<double>(fit_seconds.size()));
-  std::string all = "[";
-  for (std::size_t i = 0; i < fit_seconds.size(); ++i) {
-    if (i) all += ',';
-    all += std::to_string(fit_seconds[i]);
-  }
-  out.raw("fit_all_s", all + "]");
+  out.raw("fit_all_s", number_list(fit_seconds));
+  out.num("predict_p50_us", at_nominal_speed(predict.p50_s, host_seconds) * 1e6);
+  out.raw("predict_us", predict.json(1e6));
+  out.num("host_reference_s", host_seconds);
+  out.raw("host_reference_all_s", number_list(host.all()));
+  out.num("host_reference_nominal_s", HostReference::kNominalSeconds);
   out.num("fit_mlogq", metrics::mlogq(reference, test.y));
   out.num("model_bytes", static_cast<double>(file_bytes(archive)));
-  out.raw("predict_us", combine_windows(std::move(fits)).json(1e6));
   out.num("peak_rss_mb", peak_rss_mib());
   out.num("attempted", static_cast<double>(attempted));
   out.num("failed", static_cast<double>(failed));
@@ -460,6 +507,57 @@ int cmd_fixture(const CliArgs& args) {
   out.num("samples", static_cast<double>(samples));
 
   if (trace && !spans.write(trace_dir + "/harness_trace.json")) return 1;
+  std::cout << out.render() << "\n";
+  return 0;
+}
+
+// ----------------------------------------------------------------- fits
+
+// Fits of a serve workload's family, timed apart from its set-ups: `count`
+// fits on the training set, after one untimed fit that warms the process as
+// fit-kripke's first fit does. A cold fit in a fresh process (the set-up's)
+// also times page faults and the OpenMP team's start, which vary more from
+// run to run than the fit itself; set-up time keeps them. Every fit must
+// predict the held-out set bitwise like the warm-up fit. The host reference
+// runs before the first fit and after each. run.py calls this before and
+// after the load; fit_s is the median fit over both calls at nominal host
+// speed, from the reference's median time over both.
+int cmd_fits(const CliArgs& args) {
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const auto samples = static_cast<std::size_t>(args.get_int("samples", 8192));
+  const auto heldout = static_cast<std::size_t>(args.get_int("heldout", 4096));
+  const auto count = static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("count", 5)));
+  const std::string family = args.get_string("family", "cpr");
+  const common::Dataset train = training_set(seed, samples);
+  const common::Dataset test = heldout_set(seed, heldout);
+  std::vector<double> reference, fit_seconds;
+  std::uint64_t attempted = 0, failed = 0;
+  HostReference host;
+  host.measure();
+  while (fit_seconds.size() < count) {
+    auto model = common::ModelRegistry::instance().create(family, model_spec(family));
+    const std::uint64_t start = now_ns();
+    model->fit(train);
+    const double fit_time = seconds_since(start);
+    host.measure();
+    std::vector<double> predictions = model->predict_batch(test.x);
+    if (reference.empty()) {
+      reference = std::move(predictions);
+      continue;
+    }
+    fit_seconds.push_back(fit_time);
+    ++attempted;
+    if (!bitwise_equal(predictions, reference)) {
+      ++failed;
+      std::cerr << "fits: refit predictions differ from the warm-up fit\n";
+    }
+  }
+  JsonObject out;
+  out.raw("fit_all_s", number_list(fit_seconds));
+  out.raw("host_reference_all_s", number_list(host.all()));
+  out.num("host_reference_nominal_s", HostReference::kNominalSeconds);
+  out.num("attempted", static_cast<double>(attempted));
+  out.num("failed", static_cast<double>(failed));
   std::cout << out.render() << "\n";
   return 0;
 }
@@ -535,7 +633,7 @@ int cmd_idle_spin() {
 int main(int argc, char** argv) {
   using namespace perfbench;
   if (argc < 2) {
-    std::cerr << "usage: perfbench_harness env|fit-kripke|fixture|probes|client|idle-spin"
+    std::cerr << "usage: perfbench_harness env|fit-kripke|fixture|fits|probes|client|idle-spin"
                  " [--flags]\n";
     return 2;
   }
@@ -546,6 +644,7 @@ int main(int argc, char** argv) {
     if (command == "idle-spin") return cmd_idle_spin();
     if (command == "fit-kripke") return cmd_fit_kripke(args);
     if (command == "fixture") return cmd_fixture(args);
+    if (command == "fits") return cmd_fits(args);
     if (command == "probes") return cmd_probes(args);
     if (command == "client") return run_load_client(args);
   } catch (const std::exception& e) {

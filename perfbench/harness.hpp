@@ -133,6 +133,36 @@ class Spans {
   std::vector<Span> spans_;  // span id = index + 1
 };
 
+/// The host-speed reference (host_reference.cpp): a CP-model evaluation
+/// kernel of the benchmark's own, timed between the fits and predict passes
+/// of a run. A figure divided by the reference's median time over the run,
+/// times kNominalSeconds, is that figure on a host that runs the reference
+/// in kNominalSeconds: the host's drift from run to run cancels, and any
+/// change to the program shows in full, since the program never runs the
+/// reference's code.
+class HostReference {
+ public:
+  /// The reference's time on the 4-vCPU machine the benchmark was tuned on.
+  static constexpr double kNominalSeconds = 0.03;
+
+  HostReference();
+  /// Median wall seconds of 8 passes; throws if two passes differ.
+  double measure();
+  /// Every measure() result so far.
+  const std::vector<double>& all() const { return all_; }
+
+ private:
+  void pass();
+  std::vector<double> factors_, points_, values_, first_, all_;
+  int threads_;
+};
+
+/// `figure` at the host speed under which the reference takes
+/// kNominalSeconds, given the reference's time over the same run.
+inline double at_nominal_speed(double figure, double reference_seconds) {
+  return figure * HostReference::kNominalSeconds / reference_seconds;
+}
+
 // ----------------------------------------------------------- workload inputs
 
 /// The Kripke application of Table 2 (9 parameters).

@@ -10,7 +10,7 @@ kernel Profiler phases, the server's sampled request spans) and validates
 them, and the server's Prometheus exposition, with cpr_obscheck.
 
 Usage, from the root of a checkout:
-  python3 perfbench/run.py --workload fit-kripke --seed 1 --seconds 20 --trace 0
+  python3 perfbench/run.py --workload fit-kripke --seed 1 --seconds 25 --trace 0
   python3 perfbench/run.py --smoke           # every workload, tiny sizes
   python3 perfbench/run.py --compare A.json B.json
 
@@ -43,22 +43,34 @@ SERVE = os.path.join(BUILD, "cpr", "tools", "cpr_serve")
 OBSCHECK = os.path.join(BUILD, "cpr", "tools", "cpr_obscheck")
 
 # Workload sizes. The serve workloads fit the archive they serve during each
-# of their set-ups; fit-kripke fits the same size repeatedly as its
-# measured work, and repeats its set-up (dataset generation alone, about
-# 30 ms) after every fit.
+# of their set-ups, and time `fits` warm fits of its family before the load
+# and as many after it (their fit_s, from two moments of the run, since the
+# host's speed drifts within seconds; a cpr-online fit takes about half
+# as long as a cpr fit, so it gets more); fit-kripke fits the same size
+# repeatedly as its measured work, and repeats its set-up (dataset
+# generation alone, about 30 ms) after every fit.
 SIZES = {
-    "full": {"samples": 8192, "heldout": 4096, "setup_reps": 5},
-    "tiny": {"samples": 1024, "heldout": 256, "setup_reps": 1},
+    "full": {"samples": 8192, "heldout": 4096, "setup_reps": 3,
+             "fits": {"serve-miss": 3, "serve-hot-observe": 4}},
+    "tiny": {"samples": 1024, "heldout": 256, "setup_reps": 1,
+             "fits": {"serve-miss": 1, "serve-hot-observe": 1}},
 }
 SERVED_MODEL = {"serve-miss": ("cpr", "kripke-cpr"),
                 "serve-hot-observe": ("cpr-online", "kripke-online")}
+# Where the PREDICT latency is the server's computation, so it drifts with
+# the host and is gated at nominal host speed: cache hits. The cache-miss
+# latency is mostly the micro-batcher's wait, a timer, and is gated as
+# measured (see METRICS.md, "Host-speed correction").
+COMPUTE_BOUND_LATENCY = {"serve-hot-observe"}
 TRACE_SAMPLE = 16  # the server traces every 16th request in the traced run
 
 # End-to-end figures printed and stored with the gated ones but not listed
 # in BENCHMARK.json: predict_p99_us varies too much from run to run on a
-# shared machine to gate, and the others exist on one workload only, while
-# BENCHMARK.json lists what every workload emits.
-UNGATED_E2E_UNITS = {"predict_p99_us": "us", "max_qps_at_slo": "QPS",
+# shared machine to gate, the wall times behind the gated figures at nominal
+# host speed drift with the host (see METRICS.md), and the others exist on
+# one workload only, while BENCHMARK.json lists what every workload emits.
+UNGATED_E2E_UNITS = {"predict_p99_us": "us", "setup_wall_s": "s", "fit_wall_s": "s",
+                     "predict_wall_p50_us": "us", "max_qps_at_slo": "QPS",
                      "observe_p50_us": "us", "refit_p50_ms": "ms", "served_mlogq": "nats"}
 # Per-layer figures that exist only where a server runs (see METRICS.md).
 SERVE_LAYER_UNITS = {"serve.admit_us": "us", "serve.batch_wait_us": "us",
@@ -222,10 +234,13 @@ def run_fit_kripke(args, size, work):
     return {
         "e2e": {
             "setup_s": (r["setup_s"], r["setup_reps"]),
+            "setup_wall_s": (r["setup_wall_s"], r["setup_reps"]),
             "fit_s": (r["fit_s"], r["fit_count"]),
+            "fit_wall_s": (r["fit_wall_s"], r["fit_count"]),
             "fit_mlogq": (r["fit_mlogq"], size["heldout"]),
             "model_bytes": (r["model_bytes"], 1),
-            "predict_p50_us": (r["predict_us"]["p50"], r["predict_us"]["count"]),
+            "predict_p50_us": (r["predict_p50_us"], r["predict_us"]["count"]),
+            "predict_wall_p50_us": (r["predict_us"]["p50"], r["predict_us"]["count"]),
             "predict_p99_us": (r["predict_us"]["p99"], r["predict_us"]["count"]),
             "peak_rss_mb": (r["peak_rss_mb"], 1),
         },
@@ -234,7 +249,9 @@ def run_fit_kripke(args, size, work):
         "failed": int(r["failed"]),
         "checks": {"refits_and_reload_bitwise": int(r["failed"]) == 0},
         "detail": {"samples": r["samples"], "fit_all_s": r["fit_all_s"],
-                   "predict_us": r["predict_us"]},
+                   "host_reference_all_s": r["host_reference_all_s"],
+                   "predict_us": r["predict_us"], "host_reference_s": r["host_reference_s"],
+                   "host_reference_nominal_s": r["host_reference_nominal_s"]},
     }
 
 
@@ -247,7 +264,7 @@ def first_predict_line(model):
 def run_serve(args, size, work):
     family, model = SERVED_MODEL[args.workload]
     models = os.path.join(work, "models")
-    setup_s, fit_s, generate_s = [], [], []
+    setup_s, generate_s = [], []
     fixture = None
     server = None
     try:
@@ -268,9 +285,14 @@ def run_serve(args, size, work):
             setup_s.append(time.perf_counter() - start)
             if not reply.startswith("OK "):
                 raise RuntimeError(f"first PREDICT failed: {reply}")
-            fit_s.append(fixture["fit_s"])
             generate_s.append(fixture["apps.generate_s"])
         archive = os.path.join(models, model + ".cprm")
+        # fit_s: warm fits after the timed set-ups, with the server idle,
+        # and again after the load.
+        fit_argv = ["fits", f"--seed={args.seed}", f"--samples={size['samples']}",
+                    f"--heldout={size['heldout']}", f"--family={family}",
+                    f"--count={size['fits'][args.workload]}"]
+        fits = [harness(fit_argv)]
         # The traced run's layer probes run after the timed set-ups, so the
         # traced setup_s never includes them.
         probes = harness(["probes", f"--seed={args.seed}", f"--samples={size['samples']}",
@@ -286,16 +308,28 @@ def run_serve(args, size, work):
                     env=env, cpus=cpu_split()[1])
         code, rss = server.stop()
         server = None
+        fits.append(harness(fit_argv))
     finally:
         if server is not None:
             server.kill()
+    fit_all_s = [t for f in fits for t in f["fit_all_s"]]
+    host_reference = [t for f in fits for t in f["host_reference_all_s"]]
+    # At nominal host speed: see METRICS.md, "Host-speed correction".
+    nominal = fits[0]["host_reference_nominal_s"] / statistics.median(host_reference)
+    fits_failed = sum(int(f["failed"]) for f in fits)
+    p50 = c["predict_us"]["p50"]  # None when no window was valid
+    latency_scale = nominal if args.workload in COMPUTE_BOUND_LATENCY else 1.0
 
     e2e = {
-        "setup_s": (statistics.median(setup_s), len(setup_s)),
-        "fit_s": (statistics.median(fit_s), len(fit_s)),
+        "setup_s": (statistics.median(setup_s) * nominal, len(setup_s)),
+        "setup_wall_s": (statistics.median(setup_s), len(setup_s)),
+        "fit_s": (statistics.median(fit_all_s) * nominal, len(fit_all_s)),
+        "fit_wall_s": (statistics.median(fit_all_s), len(fit_all_s)),
         "fit_mlogq": (fixture["fit_mlogq"], size["heldout"]),
         "model_bytes": (fixture["model_bytes"], 1),
-        "predict_p50_us": (c["predict_us"]["p50"], c["predict_us"]["count"]),
+        "predict_p50_us": (None if p50 is None else p50 * latency_scale,
+                           c["predict_us"]["count"]),
+        "predict_wall_p50_us": (c["predict_us"]["p50"], c["predict_us"]["count"]),
         "predict_p99_us": (c["predict_us"]["p99"], c["predict_us"]["count"]),
         "peak_rss_mb": (rss, 1),
     }
@@ -310,6 +344,7 @@ def run_serve(args, size, work):
     layers["apps.generate_s"] = statistics.median(generate_s)
     layers.update({k: v for k, v in c.items() if k.startswith(("serve.", "client."))})
     checks = {
+        "refits_bitwise": fits_failed == 0,
         "replies_correct": int(c["failed"]) == 0,
         "server_drained_exit_0": code == 0,
     }
@@ -318,14 +353,17 @@ def run_serve(args, size, work):
     return {
         "e2e": e2e,
         "layers": layers,
-        "attempted": int(c["attempted"]),
-        "failed": int(c["failed"]) + (0 if code == 0 else 1),
+        "attempted": int(c["attempted"]) + sum(int(f["attempted"]) for f in fits),
+        "failed": int(c["failed"]) + fits_failed + (0 if code == 0 else 1),
         "checks": checks,
         # A late generator invalidates latency windows; it says nothing about
         # the program's outputs, so it is reported, not checked.
         "generator_on_time": bool(c["latency_valid"]),
-        "detail": {k: c[k] for k in ("predict_us", "rate_points", "refits",
-                                     "send_lag_bound_us") if k in c},
+        "detail": dict({k: c[k] for k in ("predict_us", "rate_points", "refits",
+                                          "send_lag_bound_us") if k in c},
+                       fit_all_s=fit_all_s, host_reference_all_s=host_reference,
+                       host_reference_s=statistics.median(host_reference),
+                       host_reference_nominal_s=fits[0]["host_reference_nominal_s"]),
     }
 
 
@@ -367,6 +405,8 @@ def print_report(result, bench):
         print(f"  e2e   {name:<28} {shown:>16} {units[name]:<6} n={count}")
     print(f"  e2e   {'error_rate':<28} {result['error_rate']:>16.6g} {'ratio':<6} "
           f"n={result['attempted']}")
+    print(f"  host  {'reference_s':<28} {result['detail']['host_reference_s']:>16.6g} "
+          f"{'s':<6} (nominal {result['detail']['host_reference_nominal_s']:g} s)")
     for p in result["detail"].get("rate_points", []):
         lat = {k: "invalid" if v is None else f"{v:.1f}us" for k, v in p["latency_us"].items()
                if k in ("p50", "p99", "send_lag_p99")}
