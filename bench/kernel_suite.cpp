@@ -19,6 +19,7 @@
 //   --filter=<substr>  run only cases whose name contains <substr>
 //   --seed=<n>         dataset seed (default 1)
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <functional>
@@ -243,6 +244,16 @@ int main(int argc, char** argv) {
       }
       harness.run("predict_batch/1024",
                   [&] { (void)model.predict_batch(queries); });
+      // Row-count sweep behind common::kMinParallelRows: run once with
+      // OMP_NUM_THREADS=1 and once at nproc. Above the gate the nproc curve
+      // should fall below the serial one; below it both run serially.
+      for (const std::size_t rows : {1, 4, 16, 32, 64, 128, 256, 512}) {
+        linalg::Matrix head(rows, queries.cols());
+        std::copy(queries.row_ptr(0), queries.row_ptr(0) + rows * queries.cols(),
+                  head.row_ptr(0));
+        harness.run("predict_batch_rows/" + std::to_string(rows),
+                    [&] { (void)model.predict_batch(head); });
+      }
       KernelModeGuard guard;
       set_kernel_mode(KernelMode::Serial);
       harness.run("predict_batch_serial/1024",

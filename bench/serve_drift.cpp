@@ -195,7 +195,6 @@ int main(int argc, char** argv) {
 
   serve::ServerOptions options;
   options.model_dir = dir;
-  options.batcher.workers = 2;
   options.batcher.max_wait_us = 50;
   options.drift_window = window;
   serve::Server server(options);

@@ -120,9 +120,11 @@ struct ServerChild {
   std::uint16_t port = 0;
 };
 
-/// Forks a serve::TcpServer over `dir`. The child blocks SIGTERM/SIGINT
-/// before spawning any server thread, waits for one in sigwait, drains
-/// gracefully, and exits 0 — exactly the cpr_serve signal contract.
+/// Forks a serve::TcpServer over `dir` with the shipped batcher and
+/// transport defaults, except for the arguments. The child blocks
+/// SIGTERM/SIGINT before spawning any server thread, waits for one in
+/// sigwait, drains gracefully, and exits 0 — exactly the cpr_serve signal
+/// contract.
 ServerChild spawn_server(const std::string& dir, std::size_t max_inflight,
                          std::uint64_t max_wait_us, std::size_t cache_capacity) {
   int port_pipe[2];
@@ -139,15 +141,10 @@ ServerChild spawn_server(const std::string& dir, std::size_t max_inflight,
     try {
       serve::ServerOptions options;
       options.model_dir = dir;
-      options.batcher.workers = 2;
-      options.batcher.max_batch = 64;
       options.batcher.max_wait_us = max_wait_us;
       options.cache_capacity = cache_capacity;
       serve::Server server(options);
       serve::TcpServerOptions tcp_options;
-      tcp_options.port = 0;
-      tcp_options.io_threads = 2;
-      tcp_options.dispatch_threads = 2;
       tcp_options.max_inflight = max_inflight;
       serve::TcpServer tcp(server, tcp_options);
       const std::uint16_t port = tcp.port();
@@ -567,11 +564,12 @@ int main(int argc, char** argv) {
                "admit_us", "batch_us", "predict_us", "flush_us"});
 
   {
-    // Open-loop points: a well-provisioned server (default admission caps,
-    // warm prediction cache) under fixed offered load.
-    const ServerChild server = spawn_server(dir, /*max_inflight=*/1024,
-                                            /*max_wait_us=*/200,
-                                            /*cache_capacity=*/4096);
+    // Open-loop points: the server as it ships (default admission caps and
+    // batcher window, warm prediction cache) under fixed offered load.
+    const ServerChild server =
+        spawn_server(dir, serve::TcpServerOptions{}.max_inflight,
+                     serve::MicroBatcher::Options{}.max_wait_us,
+                     serve::ServerOptions{}.cache_capacity);
     OpenLoopClient client(server.port, connections, seed);
     std::cerr << "serve_latency: " << client.connections()
               << " connections to 127.0.0.1:" << server.port << "\n";
@@ -601,7 +599,8 @@ int main(int argc, char** argv) {
 
   {
     // Overload point: admission capped at 8 in-flight requests, no cache,
-    // a slow batcher, and far more offered load than the server can take.
+    // a slow batcher (a 2 ms straggler window holds requests in flight), and
+    // far more offered load than the server can take.
     // Bounded admission means BUSY replies (the bench FAILS if none are
     // shed) while the admitted requests keep a bounded p99.9.
     const ServerChild server = spawn_server(dir, /*max_inflight=*/8,

@@ -124,7 +124,6 @@ class ServeFixtureState {
 serve::ServerOptions server_options(std::size_t cache_capacity) {
   serve::ServerOptions options;
   options.model_dir = ServeFixtureState::instance().dir();
-  options.batcher.workers = 2;
   options.batcher.max_batch = 64;
   options.batcher.max_wait_us = 100;
   options.cache_capacity = cache_capacity;
@@ -132,11 +131,11 @@ serve::ServerOptions server_options(std::size_t cache_capacity) {
 }
 
 /// Lazily-constructed servers keyed by benchmark case, shared across thread
-/// counts and repetitions. The servers are deliberately leaked (joining the
-/// batcher workers during static destruction would race google-benchmark's
-/// own teardown); main() walks the registry after the run to print per-stage
-/// attribution out of each server's mergeable latency histograms — the same
-/// data the METRICS verb exposes.
+/// counts and repetitions. The servers are deliberately leaked (joining
+/// their refit-trainer threads during static destruction would race
+/// google-benchmark's own teardown); main() walks the registry after the
+/// run to print per-stage attribution out of each server's mergeable
+/// latency histograms — the same data the METRICS verb exposes.
 class ServerRegistry {
  public:
   static ServerRegistry& instance() {

@@ -12,6 +12,15 @@
 
 namespace cpr::common {
 
+/// predict_batch opens an OpenMP team only for batches of at least this
+/// many rows; shorter ones run serially on the calling thread. In the
+/// kernel_suite predict_batch_rows sweep a warm 4-thread team first beats
+/// one thread somewhere between 32 and 128 rows, and a server's idle team
+/// must first be woken, so the gate sits at the top of that range: a full
+/// default micro-batch (64) never opens a team. Rows are independent, so
+/// both paths return the same bits.
+inline constexpr std::size_t kMinParallelRows = 128;
+
 class Regressor {
  public:
   virtual ~Regressor() = default;
@@ -59,8 +68,9 @@ class Regressor {
   virtual void refresh();
 
   /// Predicts every row of `x` (n-by-d). The default parallelizes the
-  /// scalar predict() over rows; families with an allocation-free batched
-  /// path (CPR) override it. Row i always equals predict(row i) bitwise.
+  /// scalar predict() over rows (from kMinParallelRows rows on); families
+  /// with an allocation-free batched path (CPR) override it. Row i always
+  /// equals predict(row i) bitwise.
   virtual std::vector<double> predict_batch(const linalg::Matrix& x) const;
 
   /// Predicts every row of `x` (alias retained for existing callers).

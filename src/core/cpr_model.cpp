@@ -236,7 +236,7 @@ std::vector<double> CprModel::predict_batch(const linalg::Matrix& configs) const
   // process); capture the first one and rethrow it on the calling thread.
   std::exception_ptr error;
 #ifdef CPR_HAVE_OPENMP
-#pragma omp parallel
+#pragma omp parallel if (configs.rows() >= common::kMinParallelRows)
 #endif
   {
     // Per-thread query scratch: assign() reuses its capacity, so the hot
@@ -270,7 +270,7 @@ std::vector<double> CprModel::predict_batch_blocked(const linalg::Matrix& config
   // process); capture the first one and rethrow it on the calling thread.
   std::exception_ptr error;
 #ifdef CPR_HAVE_OPENMP
-#pragma omp parallel
+#pragma omp parallel if (configs.rows() >= common::kMinParallelRows)
 #endif
   {
     // Per-thread scratch, reused across every query of every tile the

@@ -130,7 +130,7 @@ std::vector<double> OnlineCprModel::predict_batch(const linalg::Matrix& configs)
   std::vector<double> out(configs.rows());
   std::exception_ptr error;
 #ifdef CPR_HAVE_OPENMP
-#pragma omp parallel
+#pragma omp parallel if (configs.rows() >= common::kMinParallelRows)
 #endif
   {
     grid::Config scratch;

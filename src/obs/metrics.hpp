@@ -38,7 +38,7 @@
 namespace cpr::obs {
 
 /// Shard count for the per-thread-sharded primitives: enough slots that a
-/// dispatch pool plus batcher workers rarely collide on a cacheline.
+/// dispatch pool plus the refit trainer rarely collide on a cacheline.
 inline constexpr std::size_t kMetricShards = 16;
 
 /// This thread's shard slot (assigned once per thread, round-robin).

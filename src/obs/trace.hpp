@@ -4,10 +4,10 @@
 // A RequestTrace is allocated at frame parse (sampled 1-in-N by the
 // TraceCollector) and rides the request through every stage as a
 // shared_ptr handle: the IO loop stamps admission, a dispatch worker runs
-// handle_line, a batcher worker stamps batch wait and predict, and the IO
-// loop stamps the reply flush. A null handle means "not sampled" and every
-// operation on it is a no-op, so the unsampled fast path costs one atomic
-// fetch_add at parse and pointer checks everywhere else.
+// handle_line, the micro-batcher's combiner thread stamps batch wait and
+// predict, and the IO loop stamps the reply flush. A null handle means "not
+// sampled" and every operation on it is a no-op, so the unsampled fast path
+// costs one atomic fetch_add at parse and pointer checks everywhere else.
 //
 // Completed traces are exported as Chrome trace-event JSON (`"ph":"X"`
 // complete events, microsecond timestamps) loadable in Perfetto or

@@ -3,22 +3,26 @@
 //
 // Concurrent single-point PREDICT requests are expensive to dispatch one by
 // one: every call pays virtual dispatch, OpenMP region entry, and (for
-// non-CPR families) per-row allocation. The MicroBatcher funnels requests
-// into a bounded queue from which a fixed pool of worker threads assembles
-// per-model batches — flushing when `max_batch` same-model requests are
-// queued or `max_wait_us` has elapsed since the batch opened — and executes
-// them through the family's predict_batch() override. Because every family
-// guarantees predict_batch row i == predict(row i) bitwise, batching is
-// invisible to clients: results are identical to serial evaluation no
-// matter how requests interleave.
+// non-CPR families) per-row allocation. The MicroBatcher coalesces them into
+// per-model predict_batch() calls without a thread of its own: it is
+// caller-runs ("flat combining"). A submitting thread enqueues its job and,
+// if no other caller is combining, becomes the combiner: it opens a batch
+// with the oldest queued job, sweeps same-model jobs in behind it up to
+// `max_batch`, runs predict_batch itself, and repeats until its own job is
+// done, then hands the role to a waiting caller. A lone request therefore
+// runs on its own thread with no hand-off, and batches grow only while a
+// previous batch runs (continuous batching). A `max_wait_us` > 0 adds a
+// timed window in which the combiner waits for same-model stragglers before
+// it flushes an under-full batch. Because every family guarantees
+// predict_batch row i == predict(row i) bitwise, batching is invisible to
+// clients: results are identical to serial evaluation no matter how requests
+// interleave.
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
+#include <exception>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -30,13 +34,13 @@ namespace cpr::serve {
 class MicroBatcher {
  public:
   struct Options {
-    std::size_t workers = 2;         ///< inference worker threads
-    std::size_t max_batch = 64;      ///< flush a batch at this many requests
-    std::uint64_t max_wait_us = 200; ///< flush an under-full batch after this
-    std::size_t queue_capacity = 4096;  ///< submit() blocks when full
+    std::size_t max_batch = 64;     ///< largest batch one predict_batch runs
+    std::uint64_t max_wait_us = 0;  ///< >0: wait this long for stragglers
+                                    ///< before flushing an under-full batch
 
-    /// Optional stage histograms (owned by ServerStats): per-request queue
-    /// wait and per-batch predict_batch time. Null leaves them unrecorded.
+    /// Optional stage histograms (owned by ServerStats): per-request wait
+    /// from submit to batch start, and per-batch predict_batch time. Null
+    /// leaves them unrecorded.
     obs::Histogram* batch_wait_histogram = nullptr;
     obs::Histogram* predict_histogram = nullptr;
   };
@@ -54,47 +58,50 @@ class MicroBatcher {
 
   explicit MicroBatcher(Options options);
 
-  /// Stops accepting work, drains every queued request, joins the workers.
-  ~MicroBatcher();
-
   MicroBatcher(const MicroBatcher&) = delete;
   MicroBatcher& operator=(const MicroBatcher&) = delete;
 
-  /// Enqueues one prediction; the future yields exactly
-  /// model->predict(config) (bitwise) or rethrows the model's error.
-  /// `config` must match the model's input_dims(). Blocks while the queue
-  /// is at capacity; throws CheckError after shutdown has begun. A sampled
-  /// request passes its trace handle so the worker can stamp batch_wait
-  /// and predict spans; null means unsampled.
-  std::future<double> submit(ModelHandle model, grid::Config config,
-                             obs::TraceHandle trace = nullptr);
+  /// Predicts one configuration, possibly batched with concurrent callers'
+  /// requests, and returns exactly model->predict(config) (bitwise) or
+  /// rethrows the model's error. `config` must match the model's
+  /// input_dims(). The call may run other callers' batches on this thread
+  /// before it returns. A sampled request passes its trace handle so the
+  /// batch stamps batch_wait and predict spans; null means unsampled.
+  double submit(const ModelHandle& model, const grid::Config& config,
+                const obs::TraceHandle& trace = nullptr);
 
   Stats stats() const;
 
   const Options& options() const { return options_; }
 
  private:
+  /// One pending request; it lives on its caller's stack for the call.
   struct Job {
-    ModelHandle model;
-    grid::Config config;
-    std::promise<double> result;
-    obs::TraceHandle trace;  ///< null unless the request is trace-sampled
+    const LoadedModel* model = nullptr;
+    const grid::Config* config = nullptr;
+    obs::RequestTrace* trace = nullptr;  ///< null unless trace-sampled
     std::uint64_t submitted_ns = 0;
+    double value = 0.0;
+    std::exception_ptr error;
+    bool done = false;  ///< guarded by mu_; value/error are final once set
   };
 
-  void worker_loop();
+  /// Runs batches, oldest job first, until `own` is done; `lock` holds mu_
+  /// on entry and exit and is released while predict_batch runs.
+  void combine(std::unique_lock<std::mutex>& lock, const Job& own);
   /// Moves queued same-model jobs into `batch` up to max_batch; `mu_` held.
-  void sweep_locked(std::vector<Job>& batch, const LoadedModel* key);
-  void run_batch(std::vector<Job>& batch) const;
+  void sweep_locked(std::vector<Job*>& batch, const LoadedModel* key);
+  void run_batch(const std::vector<Job*>& batch) const;
 
   Options options_;
   mutable std::mutex mu_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
-  std::deque<Job> queue_;
-  bool stopping_ = false;
+  std::condition_variable changed_;  ///< a job finished, the combiner role
+                                     ///< freed, or a straggler arrived
+  std::deque<Job*> queue_;
+  std::vector<Job*> batch_;  ///< the combiner's batch, reused across calls
+  bool combining_ = false;
+  bool window_open_ = false;  ///< the combiner waits for stragglers
   Stats stats_;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace cpr::serve

@@ -138,7 +138,7 @@ std::string Server::handle_predict(const Request& request,
     span.arg("cache", "hit");
   } else {
     span.arg("cache", "miss");
-    prediction = batcher_.submit(model, request.values, trace).get();
+    prediction = batcher_.submit(model, request.values, trace);
     cache_.put(key, prediction);
   }
   stats_.record_predict(

@@ -8,10 +8,10 @@
 //
 //   read buffer -> frame parser (newline, or length-prefixed binary after a
 //   `FRAME BINARY` negotiation) -> admission check -> dispatch queue ->
-//   Server::handle_line on a dispatch worker (which blocks in the
-//   MicroBatcher, never on a loop thread) -> ordered reply ticket ->
-//   write buffer with partial-write resumption (EPOLLOUT only while bytes
-//   are pending).
+//   Server::handle_line on a dispatch worker (which runs or waits for its
+//   cache-miss prediction in the MicroBatcher, never on a loop thread) ->
+//   ordered reply ticket -> write buffer with partial-write resumption
+//   (EPOLLOUT only while bytes are pending).
 //
 // Replies stay in request order per connection even though the dispatch
 // pool completes out of order: every parsed request gets a ticket in the
@@ -43,7 +43,8 @@ namespace cpr::serve {
 struct TcpServerOptions {
   std::uint16_t port = 0;       ///< 0 = ephemeral; see TcpServer::port()
   std::size_t io_threads = 2;   ///< event-loop threads (connections sharded)
-  std::size_t dispatch_threads = 2;  ///< workers calling Server::handle_line
+  std::size_t dispatch_threads = 2;  ///< workers calling Server::handle_line;
+                                     ///< they also run predict_batch
   std::size_t max_inflight = 1024;   ///< global dispatched-request admission cap
   std::size_t max_write_backlog = 1 << 20;  ///< per-connection bytes before BUSY
   std::size_t max_line_bytes = 1 << 16;     ///< newline mode: longer is fatal

@@ -158,7 +158,6 @@ TEST(ServerFuzz, RandomSessionsAlwaysGetOkOrErrReplies) {
 
   serve::ServerOptions options;
   options.model_dir = dir.path();
-  options.batcher.workers = 2;
   options.batcher.max_wait_us = 50;
   serve::Server server(options);
 
@@ -197,7 +196,6 @@ TEST(ServerFuzz, ObserveRefitTrafficIsTotal) {
 
   serve::ServerOptions options;
   options.model_dir = dir.path();
-  options.batcher.workers = 1;
   options.observe_buffer = 32;
   serve::Server server(options);
 
@@ -238,7 +236,6 @@ TEST(ServerFuzz, MetricsVerbStaysValidThroughHostileTraffic) {
 
   serve::ServerOptions options;
   options.model_dir = dir.path();
-  options.batcher.workers = 2;
   options.batcher.max_wait_us = 50;
   options.trace_sample = 1;
   serve::Server server(options);

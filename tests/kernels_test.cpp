@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "completion/als.hpp"
 #include "core/cpr_model.hpp"
@@ -356,6 +358,58 @@ TEST(BlockedPredictBatch, BitwiseEqualToScalarPredictAcrossThreadCounts) {
       EXPECT_EQ(batch[i], reference[i]) << kernel_mode_name(mode) << ", row " << i;
     }
 #endif
+  }
+}
+
+// predict_batch opens an OpenMP team only from common::kMinParallelRows rows
+// on. Both sides of that gate must return per-row predict() bits on every
+// batched path: cpr under both CPR_KERNEL arms, cpr-online, and knn on the
+// Regressor default.
+TEST(PredictBatchGate, BothSidesOfTheThresholdMatchScalarPredictBitwise) {
+  constexpr std::size_t kGate = common::kMinParallelRows;
+  const auto train = cpr::testdata::sample_power_law(400, 7);
+  Rng rng(141);
+  linalg::Matrix queries(4096, 2);
+  for (std::size_t i = 0; i < queries.rows(); ++i) {
+    for (std::size_t j = 0; j < 2; ++j) queries(i, j) = rng.log_uniform(32, 4096);
+  }
+#ifdef CPR_HAVE_OPENMP
+  const cpr::testing::ThreadCountGuard thread_guard;
+  const std::vector<int> thread_counts{1, omp_get_num_procs()};
+#else
+  const std::vector<int> thread_counts{1};
+#endif
+  KernelModeGuard mode_guard;
+  for (const char* family : {"cpr", "cpr-online", "knn"}) {
+    auto model = common::ModelRegistry::instance().create(
+        family, cpr::testdata::zoo_spec(family));
+    model->fit(train);
+    std::vector<double> reference(queries.rows());
+    for (std::size_t i = 0; i < queries.rows(); ++i) {
+      reference[i] = model->predict(
+          grid::Config(queries.row_ptr(i), queries.row_ptr(i) + queries.cols()));
+    }
+    for (const KernelMode mode : {KernelMode::Serial, KernelMode::Blocked}) {
+      set_kernel_mode(mode);
+      for (const int threads : thread_counts) {
+#ifdef CPR_HAVE_OPENMP
+        omp_set_num_threads(threads);
+#endif
+        for (const std::size_t rows : {std::size_t{1}, kGate - 1, kGate, kGate + 1,
+                                       std::size_t{4096}}) {
+          linalg::Matrix batch_queries(rows, queries.cols());
+          std::copy(queries.row_ptr(0), queries.row_ptr(0) + rows * queries.cols(),
+                    batch_queries.row_ptr(0));
+          const auto batch = model->predict_batch(batch_queries);
+          ASSERT_EQ(batch.size(), rows);
+          for (std::size_t i = 0; i < rows; ++i) {
+            ASSERT_EQ(batch[i], reference[i])
+                << family << ", " << kernel_mode_name(mode) << ", " << threads
+                << " threads, " << rows << " rows, row " << i;
+          }
+        }
+      }
+    }
   }
 }
 

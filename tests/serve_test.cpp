@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -104,7 +105,6 @@ TEST(MicroBatcher, ConcurrentProducersMatchSerialPredictBitwise) {
   const serve::ModelHandle knn_handle = handle_for(fit_family("knn"));
 
   serve::MicroBatcher::Options options;
-  options.workers = 3;
   options.max_batch = 16;
   options.max_wait_us = 100;
   serve::MicroBatcher batcher(options);
@@ -112,7 +112,7 @@ TEST(MicroBatcher, ConcurrentProducersMatchSerialPredictBitwise) {
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kPerThread = 64;
   std::vector<std::vector<Config>> configs(kThreads);
-  std::vector<std::vector<std::future<double>>> futures(kThreads);
+  std::vector<std::vector<double>> replies(kThreads);
 
   std::vector<std::thread> producers;
   for (std::size_t t = 0; t < kThreads; ++t) {
@@ -122,7 +122,7 @@ TEST(MicroBatcher, ConcurrentProducersMatchSerialPredictBitwise) {
         // Interleave the two families so batches must group per model.
         const auto& handle = (i % 2 == 0) ? cpr_handle : knn_handle;
         Config config = random_config(rng);
-        futures[t].push_back(batcher.submit(handle, config));
+        replies[t].push_back(batcher.submit(handle, config));
         configs[t].push_back(std::move(config));
       }
     });
@@ -133,7 +133,7 @@ TEST(MicroBatcher, ConcurrentProducersMatchSerialPredictBitwise) {
     for (std::size_t i = 0; i < kPerThread; ++i) {
       const auto& handle = (i % 2 == 0) ? cpr_handle : knn_handle;
       const double expected = handle->model->predict(configs[t][i]);
-      const double got = futures[t][i].get();
+      const double got = replies[t][i];
       EXPECT_EQ(expected, got) << "thread " << t << " request " << i
                                << " diverged from serial predict()";
     }
@@ -154,19 +154,122 @@ TEST(MicroBatcher, RejectsWrongArityAndPropagatesModelErrors) {
 
 TEST(MicroBatcher, DrainsQueuedWorkOnDestruction) {
   const serve::ModelHandle handle = handle_for(fit_family("cpr"));
-  std::vector<std::future<double>> futures;
+  std::vector<double> replies(64);
   {
     serve::MicroBatcher::Options options;
-    options.workers = 1;
     options.max_batch = 4;
     options.max_wait_us = 50;
     serve::MicroBatcher batcher(options);
-    Rng rng(3);
-    for (std::size_t i = 0; i < 64; ++i) {
-      futures.push_back(batcher.submit(handle, random_config(rng)));
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < 4; ++t) {
+      callers.emplace_back([&, t] {
+        Rng rng(3 + t);
+        for (std::size_t i = t; i < replies.size(); i += 4) {
+          replies[i] = batcher.submit(handle, random_config(rng));
+        }
+      });
     }
-  }  // destructor must resolve every promise
-  for (auto& future : futures) EXPECT_GT(future.get(), 0.0);
+    for (auto& caller : callers) caller.join();
+  }  // every submit returned its value before the batcher went away
+  for (const double reply : replies) EXPECT_GT(reply, 0.0);
+}
+
+/// A two-input regressor that records which thread runs each predict_batch
+/// and fails every batch holding a negative configuration value.
+class ProbeRegressor : public common::Regressor {
+ public:
+  std::string name() const override { return "probe"; }
+  std::string type_tag() const override { return "probe"; }
+  std::size_t input_dims() const override { return 2; }
+  void fit(const Dataset&) override {}
+  double predict(const Config& x) const override {
+    CPR_CHECK_MSG(x[0] >= 0.0, "probe rejects negative inputs");
+    return x[0] + 2.0 * x[1];
+  }
+  std::size_t model_size_bytes() const override { return 0; }
+  std::vector<double> predict_batch(const linalg::Matrix& x) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      batch_threads_.push_back(std::this_thread::get_id());
+    }
+    return common::Regressor::predict_batch(x);
+  }
+  std::vector<std::thread::id> batch_threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return batch_threads_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::vector<std::thread::id> batch_threads_;
+};
+
+TEST(MicroBatcher, LoneSubmitRunsOnTheCallingThread) {
+  auto probe = std::make_unique<ProbeRegressor>();
+  const ProbeRegressor& recorder = *probe;
+  const serve::ModelHandle handle = handle_for(std::move(probe));
+  serve::MicroBatcher batcher({});
+
+  EXPECT_EQ(batcher.submit(handle, Config{1.0, 2.0}), 5.0);
+  std::thread::id other_caller;
+  std::thread([&] {
+    other_caller = std::this_thread::get_id();
+    EXPECT_EQ(batcher.submit(handle, Config{3.0, 4.0}), 11.0);
+  }).join();
+
+  const auto threads = recorder.batch_threads();
+  ASSERT_EQ(threads.size(), 2u);
+  EXPECT_EQ(threads[0], std::this_thread::get_id());
+  EXPECT_EQ(threads[1], other_caller);
+  EXPECT_EQ(batcher.stats().batches, 2u);
+}
+
+TEST(MicroBatcher, ModelErrorReachesTheCallerAndFreesTheCombiner) {
+  const serve::ModelHandle handle = handle_for(std::make_unique<ProbeRegressor>());
+  serve::MicroBatcher batcher({});
+  EXPECT_THROW(batcher.submit(handle, Config{-1.0, 0.0}), CheckError);
+  // The failed batch released the combiner role: later calls still run.
+  EXPECT_EQ(batcher.submit(handle, Config{1.0, 1.0}), 3.0);
+  std::thread([&] { EXPECT_EQ(batcher.submit(handle, Config{2.0, 1.0}), 4.0); })
+      .join();
+}
+
+TEST(MicroBatcher, ConcurrentCallersCoalesceUnderAWaitWindow) {
+  const serve::ModelHandle handle = handle_for(fit_family("cpr"));
+  serve::MicroBatcher::Options options;
+  options.max_batch = 4;
+  options.max_wait_us = 2000;
+  serve::MicroBatcher batcher(options);
+
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kPerThread = 16;
+  std::vector<std::vector<Config>> configs(kThreads);
+  std::vector<std::vector<double>> replies(kThreads);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&, t] {
+      Rng rng(2000 + t);
+      ++ready;
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        configs[t].push_back(random_config(rng));
+        replies[t].push_back(batcher.submit(handle, configs[t].back()));
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < kPerThread; ++i) {
+      EXPECT_EQ(replies[t][i], handle->model->predict(configs[t][i]))
+          << "caller " << t << " request " << i;
+    }
+  }
+  const auto stats = batcher.stats();
+  EXPECT_EQ(stats.submitted, kThreads * kPerThread);
+  EXPECT_GT(stats.max_batch_seen, 1u);
+  EXPECT_LE(stats.max_batch_seen, options.max_batch);
 }
 
 // ------------------------------------------------------------------ cache
@@ -417,7 +520,6 @@ TEST(Server, ObserveAndRefitOnQuantizedModelErrByName) {
 
   serve::ServerOptions options;
   options.model_dir = dir.path();
-  options.batcher.workers = 1;
   serve::Server server(options);
 
   // Serving itself works.
@@ -513,7 +615,6 @@ TEST(Server, SessionMatchesDirectEvaluationBitwise) {
 
   serve::ServerOptions options;
   options.model_dir = dir.path();
-  options.batcher.workers = 2;
   options.batcher.max_wait_us = 50;
   serve::Server server(options);
 
@@ -566,7 +667,6 @@ TEST(Server, LazyLoadOnPredictAndConcurrentClients) {
 
   serve::ServerOptions options;
   options.model_dir = dir.path();
-  options.batcher.workers = 2;
   options.batcher.max_batch = 8;
   options.batcher.max_wait_us = 100;
   options.cache_capacity = 64;  // small: forces evictions under load
@@ -612,7 +712,6 @@ TEST(Server, ObserveRefitPredictMatchesOfflineReplayBitwise) {
 
   serve::ServerOptions options;
   options.model_dir = dir.path();
-  options.batcher.workers = 2;
   options.batcher.max_wait_us = 50;
   serve::Server server(options);
 
@@ -665,7 +764,6 @@ TEST(Server, RefitReducesRollingDriftError) {
 
   serve::ServerOptions options;
   options.model_dir = dir.path();
-  options.batcher.workers = 1;
   options.drift_window = 64;
   serve::Server server(options);
 
@@ -703,7 +801,6 @@ TEST(Server, AutoRefitPolicyFiresOffTheRequestPath) {
 
   serve::ServerOptions options;
   options.model_dir = dir.path();
-  options.batcher.workers = 1;
   options.refit_after = 8;
   serve::Server server(options);
 
@@ -731,7 +828,6 @@ TEST(Server, ObserveAndRefitFailuresAreErrReplies) {
 
   serve::ServerOptions options;
   options.model_dir = dir.path();
-  options.batcher.workers = 1;
   serve::Server server(options);
 
   EXPECT_EQ(server.handle_line("OBSERVE nosuch 1,2 3").text.rfind("ERR ", 0), 0u);
@@ -759,7 +855,6 @@ TEST(Server, GenerationSwapsStayBitwiseUnderConcurrentPredicts) {
 
   serve::ServerOptions options;
   options.model_dir = dir.path();
-  options.batcher.workers = 2;
   options.batcher.max_wait_us = 50;
   options.cache_capacity = 64;  // small: swaps + evictions under load
   serve::Server server(options);
@@ -927,7 +1022,6 @@ struct TcpFixture {
     dir.save("pl", *model);
     serve::ServerOptions options;
     options.model_dir = dir.path();
-    options.batcher.workers = 2;
     options.batcher.max_wait_us = batcher_max_wait_us;
     options.cache_capacity = cache_capacity;
     server = std::make_unique<serve::Server>(options);
@@ -946,7 +1040,6 @@ TEST(TcpServer, LoopbackSessionMatchesHandleLineBitwise) {
   // exactly what the stdio and Unix-socket frontends write to a client.
   serve::ServerOptions reference_options;
   reference_options.model_dir = fixture.dir.path();
-  reference_options.batcher.workers = 2;
   reference_options.batcher.max_wait_us = 50;
   serve::Server reference(reference_options);
 

@@ -60,7 +60,7 @@ const std::vector<ToolSpec> kTools = {
     {"cpr_predict", {"--model", "--configs", "--out", "--threads"}, true},
     {"cpr_serve",
      {"--models", "--socket", "--tcp", "--io-threads", "--max-inflight",
-      "--max-backlog", "--threads", "--workers", "--max-batch",
+      "--max-backlog", "--threads", "--max-batch",
       "--max-wait-us", "--cache", "--cache-shards", "--refit-after",
       "--observe-buffer", "--trace-sample", "--trace-out", "--metrics-out"},
      true},

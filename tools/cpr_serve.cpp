@@ -10,7 +10,7 @@
 //
 // Usage:
 //   cpr_serve --models=<dir> [--socket=/tmp/cpr.sock | --tcp=<port>]
-//       [--threads=<n>] [--workers=2] [--max-batch=64] [--max-wait-us=200]
+//       [--threads=<n>] [--max-batch=64] [--max-wait-us=0]
 //       [--cache=4096] [--cache-shards=8] [--io-threads=2]
 //       [--max-inflight=1024] [--max-backlog=1048576]
 //       [--trace-sample=<n>] [--trace-out=trace.json]
@@ -70,13 +70,18 @@ void usage(std::ostream& out) {
          "                      (default: 1024)\n"
          "  --max-backlog=<n>   TCP per-connection write-backlog bytes before\n"
          "                      requests get BUSY (default: 1048576)\n"
-         "  --threads=<n>       cap the OpenMP team used by predict_batch\n"
-         "                      (default: the OMP_NUM_THREADS environment)\n"
-         "  --workers=<n>       micro-batcher inference threads (default: 2)\n"
-         "  --max-batch=<n>     flush a batch at this many queued requests\n"
+         "  --threads=<n>       cap the OpenMP team used by predict_batch;\n"
+         "                      batches under "
+      << common::kMinParallelRows
+      << " rows run serially on the\n"
+         "                      request's thread (default: the\n"
+         "                      OMP_NUM_THREADS environment)\n"
+         "  --max-batch=<n>     largest micro-batch one predict_batch runs\n"
          "                      (default: 64)\n"
-         "  --max-wait-us=<n>   flush an under-full batch after this wait\n"
-         "                      (default: 200)\n"
+         "  --max-wait-us=<n>   wait this long for same-model requests before\n"
+         "                      running an under-full batch; 0 runs at once\n"
+         "                      and batches only what queued meanwhile\n"
+         "                      (default: 0)\n"
          "  --cache=<n>         prediction-cache entries, 0 disables\n"
          "                      (default: 4096)\n"
          "  --cache-shards=<n>  cache lock shards (default: 8)\n"
@@ -408,10 +413,9 @@ int main(int argc, char** argv) {
 
     serve::ServerOptions options;
     options.model_dir = model_dir;
-    options.batcher.workers = static_cast<std::size_t>(args.get_int("workers", 2));
     options.batcher.max_batch = static_cast<std::size_t>(args.get_int("max-batch", 64));
     options.batcher.max_wait_us =
-        static_cast<std::uint64_t>(args.get_int("max-wait-us", 200));
+        static_cast<std::uint64_t>(args.get_int("max-wait-us", 0));
     options.cache_capacity = static_cast<std::size_t>(args.get_int("cache", 4096));
     options.cache_shards = static_cast<std::size_t>(args.get_int("cache-shards", 8));
     options.trace_sample =
