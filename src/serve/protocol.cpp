@@ -74,11 +74,11 @@ Request parse_request(const std::string& line) {
     expect_arity(tokens, 1);
     request.kind = RequestKind::Quit;
   } else if (command == "FRAME") {
-    // The TCP transport intercepts a well-formed `FRAME BINARY` before
+    // The socket front end intercepts a well-formed `FRAME BINARY` before
     // dispatch; reaching the parser means the transport does not support
-    // framing (stdio/Unix socket) or the argument is wrong.
+    // framing (stdio) or the argument is wrong.
     CPR_CHECK_MSG(false,
-                  "FRAME BINARY is only available on the TCP transport");
+                  "FRAME BINARY is only available on the TCP and Unix sockets");
   } else {
     CPR_CHECK_MSG(
         false, "unknown request '"

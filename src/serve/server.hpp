@@ -1,17 +1,17 @@
 #pragma once
 // The serving core behind cpr_serve: one object tying the model store,
 // micro-batcher, prediction cache and telemetry together. handle_line() is
-// the whole surface — frontends (stdio, Unix socket, the throughput bench's
-// in-process clients) feed it protocol lines from any number of threads and
+// the whole surface — frontends (stdio, the socket front end, the throughput
+// bench's in-process clients) feed it protocol lines from any number of threads and
 // write back the replies. It is total: every failure becomes an `ERR` reply
 // rather than an exception, so one bad client cannot take the server down.
 //
 // Observability is per-server: the obs::Registry holds every metric the
 // METRICS verb exposes, and the obs::TraceCollector samples per-request
-// span traces (`--trace-sample=1/N`). The TCP front end allocates the
-// trace at frame parse and passes it through the trace-aware handle_line
-// overload; the plain overload samples at line granularity for the
-// stdio/Unix transports.
+// span traces (`--trace-sample=1/N`). The socket front end (TCP or Unix)
+// allocates the trace at frame parse and passes it through the trace-aware
+// handle_line overload; the plain overload samples at line granularity for
+// the stdio transport.
 
 #include <string>
 
@@ -50,7 +50,7 @@ class Server {
   };
 
   /// Handles one protocol line; thread-safe and never throws. Starts and
-  /// finishes its own trace sample (stdio/Unix transports).
+  /// finishes its own trace sample (stdio transport, in-process callers).
   Reply handle_line(const std::string& line);
 
   /// Trace-aware variant for transports that own the request lifecycle

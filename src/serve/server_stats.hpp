@@ -46,7 +46,7 @@ class ServerStats {
   /// Records a request shed with a BUSY reply (admission control).
   void record_shed() { sheds_->inc(); }
 
-  /// Transport connection lifecycle (TCP/Unix-socket frontends).
+  /// Transport connection lifecycle (the TCP/Unix socket front end).
   void record_connection_open() { connections_->add(1); }
   void record_connection_close() { connections_->add(-1); }
 

@@ -7,6 +7,8 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "serve/protocol.hpp"
@@ -62,6 +64,54 @@ struct Work {
   std::weak_ptr<Connection> conn;
   std::uint64_t enqueued_ns = 0;  ///< admission-wait start (parse time)
 };
+
+/// A non-blocking stream socket of `family` listening on `addr`; throws
+/// CheckError naming `where` when it cannot be bound.
+int listen_on(int family, const sockaddr* addr, socklen_t len, int backlog,
+              const std::string& where) {
+  const int fd = ::socket(family, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  CPR_CHECK_MSG(fd >= 0, "socket(): " << std::strerror(errno));
+  const int one = 1;
+  if (family == AF_INET) ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  if (::bind(fd, addr, len) != 0 || ::listen(fd, backlog) != 0) {
+    const int saved = errno;
+    ::close(fd);
+    CPR_CHECK_MSG(false, "cannot listen on " << where << ": " << std::strerror(saved));
+  }
+  return fd;
+}
+
+/// True when nothing accepts on the socket file at `addr` (a crashed
+/// server's leftover). A live listener, even one with a full backlog, is not.
+bool socket_is_stale(const sockaddr_un& addr) {
+  const int probe = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (probe < 0) return false;
+  const bool refused =
+      ::connect(probe, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 &&
+      errno == ECONNREFUSED;
+  ::close(probe);
+  return refused;
+}
+
+/// Listens on the Unix stream socket `path`, replacing a stale socket file
+/// there; any other file at `path` is refused and left untouched.
+int listen_unix(const std::string& path, int backlog) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  CPR_CHECK_MSG(path.size() < sizeof(addr.sun_path),
+                "Unix socket path exceeds " << sizeof(addr.sun_path) - 1
+                                            << " bytes: " << path);
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  struct stat existing{};
+  if (::lstat(path.c_str(), &existing) == 0) {
+    CPR_CHECK_MSG(S_ISSOCK(existing.st_mode) && socket_is_stale(addr),
+                  "refusing to listen on " << path
+                                           << ": it exists and is not a stale socket");
+    ::unlink(path.c_str());
+  }
+  return listen_on(AF_UNIX, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr),
+                   backlog, "Unix socket " + path);
+}
 
 }  // namespace
 
@@ -354,8 +404,10 @@ struct TcpServer::Impl {
         CPR_LOG_WARN("cpr_serve: accept4(): " << std::strerror(errno));
         break;
       }
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      if (opts.unix_path.empty()) {
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      }
       if (opts.sndbuf > 0) {
         ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &opts.sndbuf, sizeof(opts.sndbuf));
       }
@@ -412,26 +464,22 @@ TcpServer::TcpServer(Server& server, TcpServerOptions options) {
   CPR_CHECK_MSG(options.max_write_backlog > 0, "max_write_backlog must be positive");
   impl_ = std::make_unique<Impl>(server, std::move(options));
 
-  impl_->listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  CPR_CHECK_MSG(impl_->listen_fd >= 0, "socket(): " << std::strerror(errno));
-  const int one = 1;
-  ::setsockopt(impl_->listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(impl_->opts.port);
-  if (::bind(impl_->listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(impl_->listen_fd, impl_->opts.listen_backlog) != 0) {
-    const int saved = errno;
-    ::close(impl_->listen_fd);
-    CPR_CHECK_MSG(false, "cannot listen on TCP port " << impl_->opts.port << ": "
-                                                      << std::strerror(saved));
+  if (!impl_->opts.unix_path.empty()) {
+    impl_->listen_fd = listen_unix(impl_->opts.unix_path, impl_->opts.listen_backlog);
+  } else {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_ANY);
+    addr.sin_port = htons(impl_->opts.port);
+    impl_->listen_fd = listen_on(AF_INET, reinterpret_cast<sockaddr*>(&addr),
+                                 sizeof(addr), impl_->opts.listen_backlog,
+                                 "TCP port " + std::to_string(impl_->opts.port));
+    socklen_t len = sizeof(addr);
+    CPR_CHECK_MSG(
+        ::getsockname(impl_->listen_fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0,
+        "getsockname(): " << std::strerror(errno));
+    port_ = ntohs(addr.sin_port);
   }
-  socklen_t len = sizeof(addr);
-  CPR_CHECK_MSG(
-      ::getsockname(impl_->listen_fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0,
-      "getsockname(): " << std::strerror(errno));
-  port_ = ntohs(addr.sin_port);
 
   impl_->loops.reserve(impl_->opts.io_threads);
   impl_->conns.resize(impl_->opts.io_threads);
@@ -499,6 +547,7 @@ void TcpServer::shutdown(bool drain, std::uint64_t drain_timeout_ms) {
   for (auto& loop : impl.loops) loop->stop();
   for (auto& thread : impl.loop_threads) thread.join();
   ::close(impl.listen_fd);
+  if (!impl.opts.unix_path.empty()) ::unlink(impl.opts.unix_path.c_str());
   {
     std::lock_guard<std::mutex> lock(impl.done_mu);
     impl.finished = true;

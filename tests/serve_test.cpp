@@ -21,6 +21,8 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "common/model_registry.hpp"
@@ -914,22 +916,46 @@ TEST(Server, GenerationSwapsStayBitwiseUnderConcurrentPredicts) {
   EXPECT_EQ(server.request_stats().snapshot().errors, 0u);
 }
 
-// -------------------------------------------------------- TCP front end
+// ----------------------------------------------------- socket front end
 
-/// Minimal blocking loopback client for the TCP front end: raw sends plus
+/// Where a front end listens: the Unix stream socket `unix_path` when it is
+/// set, the loopback TCP `port` otherwise.
+struct Address {
+  std::uint16_t port = 0;
+  std::string unix_path;
+};
+
+/// A short per-process Unix socket path (sun_path holds 107 bytes).
+std::string unix_socket_path() {
+  return (std::filesystem::temp_directory_path() /
+          ("cpr_test_" + std::to_string(::getpid()) + ".sock"))
+      .string();
+}
+
+/// Minimal blocking client for the stream front end: raw sends plus
 /// newline- and binary-framed reads over one internal buffer.
 class TcpClient {
  public:
-  explicit TcpClient(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    CPR_CHECK(fd_ >= 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    CPR_CHECK(::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0);
-    int nodelay = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
+  explicit TcpClient(const Address& address) {
+    if (address.unix_path.empty()) {
+      fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+      CPR_CHECK(fd_ >= 0);
+      sockaddr_in addr{};
+      addr.sin_family = AF_INET;
+      addr.sin_port = htons(address.port);
+      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+      CPR_CHECK(::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0);
+      int nodelay = 1;
+      ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
+    } else {
+      fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+      CPR_CHECK(fd_ >= 0);
+      sockaddr_un addr{};
+      addr.sun_family = AF_UNIX;
+      CPR_CHECK(address.unix_path.size() < sizeof(addr.sun_path));
+      std::memcpy(addr.sun_path, address.unix_path.c_str(), address.unix_path.size() + 1);
+      CPR_CHECK(::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0);
+    }
   }
   ~TcpClient() {
     if (fd_ >= 0) ::close(fd_);
@@ -1013,7 +1039,8 @@ class TcpClient {
   std::string buffer_;
 };
 
-/// A server over a fitted model directory plus its TCP front end.
+/// A server over a fitted model directory plus its stream front end, on a
+/// TCP port or, when `tcp_options.unix_path` is set, a Unix socket.
 struct TcpFixture {
   explicit TcpFixture(serve::TcpServerOptions tcp_options = {},
                       std::uint64_t batcher_max_wait_us = 50,
@@ -1026,24 +1053,44 @@ struct TcpFixture {
     options.cache_capacity = cache_capacity;
     server = std::make_unique<serve::Server>(options);
     tcp = std::make_unique<serve::TcpServer>(*server, tcp_options);
+    address = Address{tcp->port(), tcp_options.unix_path};
   }
 
   TempModelDir dir;
   common::RegressorPtr model;
   std::unique_ptr<serve::Server> server;
   std::unique_ptr<serve::TcpServer> tcp;
+  Address address;
 };
 
-TEST(TcpServer, LoopbackSessionMatchesHandleLineBitwise) {
-  TcpFixture fixture;
+enum class Family { kTcp, kUnix };
+
+/// Front-end cases that must hold on both address families alike.
+class TcpServerFamily : public ::testing::TestWithParam<Family> {
+ protected:
+  serve::TcpServerOptions options() const {
+    serve::TcpServerOptions tcp_options;
+    if (GetParam() == Family::kUnix) tcp_options.unix_path = unix_socket_path();
+    return tcp_options;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(AddressFamilies, TcpServerFamily,
+                         ::testing::Values(Family::kTcp, Family::kUnix),
+                         [](const ::testing::TestParamInfo<Family>& info) {
+                           return info.param == Family::kTcp ? "Tcp" : "Unix";
+                         });
+
+TEST_P(TcpServerFamily, LoopbackSessionMatchesHandleLineBitwise) {
+  TcpFixture fixture(options());
   // The reference server runs the same archives through handle_line —
-  // exactly what the stdio and Unix-socket frontends write to a client.
+  // exactly what the stdio frontend writes to a client.
   serve::ServerOptions reference_options;
   reference_options.model_dir = fixture.dir.path();
   reference_options.batcher.max_wait_us = 50;
   serve::Server reference(reference_options);
 
-  TcpClient client(fixture.tcp->port());
+  TcpClient client(fixture.address);
   std::vector<std::string> lines = {"LOAD pl"};
   Rng rng(21);
   for (std::size_t i = 0; i < 24; ++i) {
@@ -1065,10 +1112,10 @@ TEST(TcpServer, LoopbackSessionMatchesHandleLineBitwise) {
   }
 }
 
-TEST(TcpServer, BinaryFramingMatchesNewlineReplies) {
-  TcpFixture fixture;
-  TcpClient newline_client(fixture.tcp->port());
-  TcpClient binary_client(fixture.tcp->port());
+TEST_P(TcpServerFamily, BinaryFramingMatchesNewlineReplies) {
+  TcpFixture fixture(options());
+  TcpClient newline_client(fixture.address);
+  TcpClient binary_client(fixture.address);
   binary_client.negotiate_binary();
 
   Rng rng(33);
@@ -1100,7 +1147,7 @@ TEST(TcpServer, MalformedBinaryFramesGetErrThenCloseNeverDeath) {
   TcpFixture fixture;
 
   {  // zero-length frame: fatal framing violation
-    TcpClient client(fixture.tcp->port());
+    TcpClient client(fixture.address);
     client.negotiate_binary();
     client.send_raw(std::string(4, '\0'));
     std::string reply;
@@ -1110,7 +1157,7 @@ TEST(TcpServer, MalformedBinaryFramesGetErrThenCloseNeverDeath) {
   }
 
   {  // oversize declared length: fatal before any payload arrives
-    TcpClient client(fixture.tcp->port());
+    TcpClient client(fixture.address);
     client.negotiate_binary();
     const std::uint32_t huge = serve::kMaxFrameBytes + 1;
     std::string header(4, '\0');
@@ -1126,14 +1173,14 @@ TEST(TcpServer, MalformedBinaryFramesGetErrThenCloseNeverDeath) {
   }
 
   {  // truncated frame then close: the server just drops the connection
-    TcpClient client(fixture.tcp->port());
+    TcpClient client(fixture.address);
     client.negotiate_binary();
     const std::string frame = serve::encode_frame("PREDICT pl 100,100");
     client.send_raw(frame.substr(0, frame.size() - 3));
   }
 
   {  // garbage payload inside a VALID frame: framed ERR, connection lives
-    TcpClient client(fixture.tcp->port());
+    TcpClient client(fixture.address);
     client.negotiate_binary();
     client.send_frame("\x01\x02 not a protocol line \xff");
     std::string reply;
@@ -1145,7 +1192,7 @@ TEST(TcpServer, MalformedBinaryFramesGetErrThenCloseNeverDeath) {
   }
 
   // After every abuse above the front end still serves new clients.
-  TcpClient survivor(fixture.tcp->port());
+  TcpClient survivor(fixture.address);
   survivor.send_line("PREDICT pl 100,100");
   std::string reply;
   ASSERT_TRUE(survivor.read_line(reply));
@@ -1156,7 +1203,7 @@ TEST(TcpServer, OversizeNewlineLineIsFatal) {
   serve::TcpServerOptions tcp_options;
   tcp_options.max_line_bytes = 128;
   TcpFixture fixture(tcp_options);
-  TcpClient client(fixture.tcp->port());
+  TcpClient client(fixture.address);
   client.send_raw(std::string(256, 'x'));  // no newline within the limit
   std::string reply;
   ASSERT_TRUE(client.read_line(reply));
@@ -1171,7 +1218,7 @@ TEST(TcpServer, BusySheddingKeepsReplyOrderUnderSaturation) {
   // in flight long enough that a pipelined burst must overrun the cap.
   TcpFixture fixture(tcp_options, /*batcher_max_wait_us=*/5000,
                      /*cache_capacity=*/0);
-  TcpClient client(fixture.tcp->port());
+  TcpClient client(fixture.address);
 
   constexpr std::size_t kBurst = 100;
   std::string burst;
@@ -1202,7 +1249,7 @@ TEST(TcpServer, PartialWriteResumptionWithTinySndbuf) {
   tcp_options.sndbuf = 1;  // kernel clamps to its floor; still forces
                            // many partial write() returns per reply
   TcpFixture fixture(tcp_options);
-  TcpClient client(fixture.tcp->port());
+  TcpClient client(fixture.address);
   client.negotiate_binary();
 
   // Pipeline multi-kilobyte STATS replies without reading a byte, then
@@ -1217,10 +1264,10 @@ TEST(TcpServer, PartialWriteResumptionWithTinySndbuf) {
   }
 }
 
-TEST(TcpServer, QuitClosesOnlyItsOwnConnection) {
-  TcpFixture fixture;
-  TcpClient quitter(fixture.tcp->port());
-  TcpClient bystander(fixture.tcp->port());
+TEST_P(TcpServerFamily, QuitClosesOnlyItsOwnConnection) {
+  TcpFixture fixture(options());
+  TcpClient quitter(fixture.address);
+  TcpClient bystander(fixture.address);
 
   std::string reply;
   bystander.send_line("PREDICT pl 100,100");
@@ -1236,17 +1283,18 @@ TEST(TcpServer, QuitClosesOnlyItsOwnConnection) {
   bystander.send_line("PREDICT pl 100,100");
   ASSERT_TRUE(bystander.read_line(reply));
   EXPECT_EQ(reply, expected);
-  TcpClient fresh(fixture.tcp->port());
+  TcpClient fresh(fixture.address);
   fresh.send_line("PREDICT pl 100,100");
   ASSERT_TRUE(fresh.read_line(reply));
   EXPECT_EQ(reply, expected);
 }
 
-TEST(TcpServer, DrainShutdownFlushesInflightReplies) {
+TEST_P(TcpServerFamily, DrainShutdownFlushesInflightReplies) {
   // 100ms batch flush: the reply is guaranteed still in flight when the
   // drain starts, so it must be completed and flushed by the drain.
-  TcpFixture fixture({}, /*batcher_max_wait_us=*/100'000, /*cache_capacity=*/0);
-  TcpClient client(fixture.tcp->port());
+  TcpFixture fixture(options(), /*batcher_max_wait_us=*/100'000,
+                     /*cache_capacity=*/0);
+  TcpClient client(fixture.address);
   client.send_line("PREDICT pl 100,100");
   std::this_thread::sleep_for(std::chrono::milliseconds(20));  // parsed+dispatched
   fixture.tcp->shutdown(/*drain=*/true);
@@ -1254,6 +1302,92 @@ TEST(TcpServer, DrainShutdownFlushesInflightReplies) {
   ASSERT_TRUE(client.read_line(reply));
   EXPECT_EQ(reply, serve::format_prediction(fixture.model->predict({100.0, 100.0})));
   EXPECT_TRUE(client.at_eof());
+}
+
+// ------------------------------------------------- Unix socket listener
+
+/// A server with no front end, for listener setup cases.
+struct BareServer {
+  BareServer() : dir("unix") {
+    serve::ServerOptions options;
+    options.model_dir = dir.path();
+    server = std::make_unique<serve::Server>(options);
+  }
+  TempModelDir dir;
+  std::unique_ptr<serve::Server> server;
+};
+
+bool is_socket_file(const std::string& path) {
+  struct stat st{};
+  return ::lstat(path.c_str(), &st) == 0 && S_ISSOCK(st.st_mode);
+}
+
+TEST(TcpServerUnix, PathLongerThanSunPathThrows) {
+  BareServer bare;
+  serve::TcpServerOptions options;
+  options.unix_path = "/tmp/" + std::string(sizeof(sockaddr_un{}.sun_path), 's');
+  EXPECT_THROW({ serve::TcpServer front(*bare.server, options); }, CheckError);
+  EXPECT_FALSE(std::filesystem::exists(options.unix_path));
+}
+
+TEST(TcpServerUnix, StaleSocketFileIsReplaced) {
+  const std::string path = unix_socket_path();
+  {  // a socket file nobody accepts on, as a killed server leaves behind
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    ::close(fd);
+  }
+  ASSERT_TRUE(is_socket_file(path));
+
+  serve::TcpServerOptions options;
+  options.unix_path = path;
+  TcpFixture fixture(options);
+  EXPECT_EQ(fixture.tcp->port(), 0);
+  TcpClient client(fixture.address);
+  client.send_line("PREDICT pl 100,100");
+  std::string reply;
+  ASSERT_TRUE(client.read_line(reply));
+  EXPECT_EQ(reply, serve::format_prediction(fixture.model->predict({100.0, 100.0})));
+}
+
+TEST(TcpServerUnix, RegularFileIsRefusedAndLeftIntact) {
+  BareServer bare;
+  const std::string path = unix_socket_path();
+  { std::ofstream(path) << "operator data\n"; }
+  serve::TcpServerOptions options;
+  options.unix_path = path;
+  EXPECT_THROW({ serve::TcpServer front(*bare.server, options); }, CheckError);
+  std::ifstream in(path);
+  std::string content;
+  std::getline(in, content);
+  EXPECT_EQ(content, "operator data");
+  std::filesystem::remove(path);
+}
+
+TEST(TcpServerUnix, LiveSocketIsRefused) {
+  serve::TcpServerOptions options;
+  options.unix_path = unix_socket_path();
+  TcpFixture fixture(options);
+  EXPECT_THROW({ serve::TcpServer rival(*fixture.server, options); }, CheckError);
+  // The running listener keeps its path and keeps serving.
+  TcpClient client(fixture.address);
+  client.send_line("PREDICT pl 100,100");
+  std::string reply;
+  ASSERT_TRUE(client.read_line(reply));
+  EXPECT_EQ(reply.rfind("OK ", 0), 0u) << reply;
+}
+
+TEST(TcpServerUnix, SocketFileIsRemovedOnShutdown) {
+  serve::TcpServerOptions options;
+  options.unix_path = unix_socket_path();
+  TcpFixture fixture(options);
+  EXPECT_TRUE(is_socket_file(options.unix_path));
+  fixture.tcp->shutdown(/*drain=*/true);
+  EXPECT_FALSE(std::filesystem::exists(options.unix_path));
 }
 
 // ---------------------------------------------------------- observability
@@ -1363,7 +1497,7 @@ TEST(Server, TraceSamplingOffCollectsNothing) {
 TEST(TcpServer, TracedRequestsCarryAdmissionAndFlushSpans) {
   TcpFixture fixture;
   fixture.server->traces().set_sample_every(1);
-  TcpClient client(fixture.tcp->port());
+  TcpClient client(fixture.address);
   std::string reply;
   for (int i = 0; i < 4; ++i) {
     client.send_line("PREDICT pl 100," + std::to_string(100 + i));
@@ -1434,15 +1568,15 @@ TEST(Server, ConcurrentMetricsAndStatsWithTraffic) {
       << error;
 }
 
-TEST(TcpServer, ConnectionGaugeTracksOpenSockets) {
-  TcpFixture fixture;
+TEST_P(TcpServerFamily, ConnectionGaugeTracksOpenSockets) {
+  TcpFixture fixture(options());
   auto connections = [&] {
     return fixture.server->request_stats().snapshot().connections;
   };
   EXPECT_EQ(connections(), 0);
   {
-    TcpClient a(fixture.tcp->port());
-    TcpClient b(fixture.tcp->port());
+    TcpClient a(fixture.address);
+    TcpClient b(fixture.address);
     // The gauge updates when the loop registers/unregisters the socket.
     std::string reply;
     a.send_line("PREDICT pl 100,100");

@@ -19,10 +19,10 @@
 #
 # --tsan additionally configures a ThreadSanitizer build (<build-dir>-tsan,
 # CPR_TSAN=ON) and runs the concurrency-heavy suites (serve_test +
-# completion_test + linalg_test) there. serve_test includes the TCP
-# event-loop front end (epoll loops, dispatch pool, ordered reply tickets,
-# drain shutdown), so the whole cross-thread handoff surface of the serving
-# layer runs under TSan. OpenMP is disabled in that build: libgomp is not
+# completion_test + linalg_test) there. serve_test includes the event-loop
+# front end over TCP and Unix sockets (epoll loops, dispatch pool, ordered
+# reply tickets, drain shutdown), so the whole cross-thread handoff surface
+# of the serving layer runs under TSan. OpenMP is disabled in that build: libgomp is not
 # TSan-instrumented and reports false positives on its own synchronization;
 # the std::thread concurrency of the serving layer is the verification
 # target (the task-graph tiled factorizations compile to their sequential
