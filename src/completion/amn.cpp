@@ -8,73 +8,91 @@
 
 namespace cpr::completion {
 
-double mlogq2_objective(const tensor::SparseTensor& t, const tensor::CpModel& model,
-                        double regularization) {
+namespace {
+
+/// Mean loss over observed entries plus the regularization term — the
+/// objective AMN drives down (barrier excluded).
+template <typename Loss>
+double amn_objective(const tensor::SparseTensor& t, const tensor::CpModel& model,
+                     double regularization) {
   double total = 0.0;
 #ifdef CPR_HAVE_OPENMP
 #pragma omp parallel for schedule(static) reduction(+ : total)
 #endif
   for (std::size_t e = 0; e < t.nnz(); ++e) {
     const double prediction = model.eval(t.entry_index(e));
-    if (prediction <= 0.0) {
-      total += 1e12;  // outside the positive orthant: effectively infinite
-      continue;
+    if constexpr (Loss::log_link) {
+      if (prediction <= 0.0) {
+        total += 1e12;  // outside the positive orthant: effectively infinite
+        continue;
+      }
+      total += Loss::rho(std::log(prediction / t.value(e)));
+    } else {
+      total += Loss::rho(prediction - t.value(e));
     }
-    const double log_q = std::log(prediction / t.value(e));
-    total += log_q * log_q;
   }
   const double n = std::max<std::size_t>(t.nnz(), 1);
   return total / n + regularization * model.regularization_term();
 }
 
-namespace {
-
 /// Full objective for one row u of one factor, including the barrier:
-///   (1/|Ω_i|) Σ_e (log(z_e·u) - log t_e)^2 + λ||u||² - η Σ_r log u_r.
-/// Returns +inf when u leaves the positive orthant or z·u <= 0.
+///   (1/|Ω_i|) Σ_e rho(r_e(z_e·u)) + λ||u||² - η Σ_r log u_r.
+/// On the log link returns +inf when u leaves the positive orthant or
+/// z·u <= 0, and the barrier term applies.
+template <typename Loss>
 double row_objective(const std::vector<std::vector<double>>& zs,
-                     const std::vector<double>& log_ts, const linalg::Vector& u,
+                     const std::vector<double>& targets, const linalg::Vector& u,
                      double lambda, double eta) {
-  for (const double ur : u) {
-    if (!(ur > 0.0)) return std::numeric_limits<double>::infinity();
+  if constexpr (Loss::log_link) {
+    for (const double ur : u) {
+      if (!(ur > 0.0)) return std::numeric_limits<double>::infinity();
+    }
   }
   const double inv_count = 1.0 / static_cast<double>(zs.size());
   double data_term = 0.0;
   for (std::size_t e = 0; e < zs.size(); ++e) {
     double m = 0.0;
     for (std::size_t r = 0; r < u.size(); ++r) m += zs[e][r] * u[r];
-    if (!(m > 0.0)) return std::numeric_limits<double>::infinity();
-    const double res = std::log(m) - log_ts[e];
-    data_term += res * res;
+    if (Loss::log_link && !(m > 0.0)) return std::numeric_limits<double>::infinity();
+    data_term += Loss::rho(Loss::link(m) - targets[e]);
   }
   double value = data_term * inv_count;
   for (const double ur : u) {
-    value += lambda * ur * ur - eta * std::log(ur);
+    if constexpr (Loss::log_link) {
+      value += lambda * ur * ur - eta * std::log(ur);
+    } else {
+      value += lambda * ur * ur;
+    }
   }
   return value;
 }
 
 }  // namespace
 
+template <typename Loss>
 CompletionReport amn_complete(const tensor::SparseTensor& t, tensor::CpModel& model,
                               const AmnOptions& options) {
   CPR_CHECK(t.dims() == model.dims());
   CPR_CHECK_MSG(t.nnz() > 0, "cannot complete a tensor with no observations");
-  CPR_CHECK_MSG(model.all_factors_positive(),
-                "AMN requires a strictly positive initial model (use init_positive)");
-  for (std::size_t e = 0; e < t.nnz(); ++e) {
-    CPR_CHECK_MSG(t.value(e) > 0.0, "MLogQ2 loss requires positive observations");
+  if constexpr (Loss::log_link) {
+    CPR_CHECK_MSG(model.all_factors_positive(),
+                  "AMN requires a strictly positive initial model (use init_positive)");
+    for (std::size_t e = 0; e < t.nnz(); ++e) {
+      CPR_CHECK_MSG(t.value(e) > 0.0, "a log-link loss requires positive observations");
+    }
   }
 
   const std::size_t rank = model.rank();
   const tensor::ModeSlices slices(t);
+  const auto objective_of = [&] {
+    return amn_objective<Loss>(t, model, options.regularization);
+  };
 
-  // Pre-compute log of observations once.
-  std::vector<double> log_values(t.nnz());
-  for (std::size_t e = 0; e < t.nnz(); ++e) log_values[e] = std::log(t.value(e));
+  // Pre-compute the link of each observation once.
+  std::vector<double> link_values(t.nnz());
+  for (std::size_t e = 0; e < t.nnz(); ++e) link_values[e] = Loss::link(t.value(e));
 
   CompletionReport report;
-  double prev_objective = mlogq2_objective(t, model, options.regularization);
   int total_sweeps = 0;
 
   // One "sweep" = a full pass of row-wise Newton solves over every mode.
@@ -92,29 +110,36 @@ CompletionReport amn_complete(const tensor::SparseTensor& t, tensor::CpModel& mo
 
         // Cache the Hadamard rows z_e for this slice (fixed during the row solve).
         std::vector<std::vector<double>> zs(entries.size(), std::vector<double>(rank));
-        std::vector<double> log_ts(entries.size());
+        std::vector<double> targets(entries.size());
         for (std::size_t k = 0; k < entries.size(); ++k) {
           tensor::hadamard_row(model, t, entries[k], mode, zs[k].data());
-          log_ts[k] = log_values[entries[k]];
+          targets[k] = link_values[entries[k]];
         }
 
         linalg::Vector u = factor.row(i);
-        double current = row_objective(zs, log_ts, u, options.regularization, eta);
+        double current =
+            row_objective<Loss>(zs, targets, u, options.regularization, eta);
 
         for (int iter = 0; iter < options.max_newton_iters; ++iter) {
           // Gradient and Hessian of the barrier-augmented row objective
-          // (Equation 4 ingredients).
+          // (Equation 4 ingredients). With r the link residual and
+          // scale = dr/dm, dphi/dm = rho'(r)·scale and d2phi/dm2 =
+          // curvature·scale², where curvature = rho'' - rho' on the log
+          // link (scale = 1/m) and rho'' on the identity link (scale = 1).
           linalg::Vector grad(rank, 0.0);
           linalg::Matrix hess(rank, rank, 0.0);
           for (std::size_t k = 0; k < entries.size(); ++k) {
             const auto& z = zs[k];
             double m = 0.0;
             for (std::size_t r = 0; r < rank; ++r) m += z[r] * u[r];
-            const double res = std::log(m) - log_ts[k];
-            const double inv_m = 1.0 / m;
+            const double res = Loss::link(m) - targets[k];
+            const double slope = Loss::rho1(res);
+            const double scale = Loss::log_link ? 1.0 / m : 1.0;
+            const double curvature =
+                Loss::log_link ? Loss::rho2(res) - slope : Loss::rho2(res);
             for (std::size_t r = 0; r < rank; ++r) {
-              grad[r] += 2.0 * res * z[r] * inv_m * inv_count;
-              const double coeff = 2.0 * (1.0 - res) * inv_m * inv_m * inv_count;
+              grad[r] += slope * z[r] * scale * inv_count;
+              const double coeff = curvature * scale * scale * inv_count;
               for (std::size_t s = r; s < rank; ++s) {
                 hess(r, s) += coeff * z[r] * z[s];
               }
@@ -122,8 +147,13 @@ CompletionReport amn_complete(const tensor::SparseTensor& t, tensor::CpModel& mo
           }
           double grad_norm_sq = 0.0;
           for (std::size_t r = 0; r < rank; ++r) {
-            grad[r] += 2.0 * options.regularization * u[r] - eta / u[r];
-            hess(r, r) += 2.0 * options.regularization + eta / (u[r] * u[r]);
+            if constexpr (Loss::log_link) {
+              grad[r] += 2.0 * options.regularization * u[r] - eta / u[r];
+              hess(r, r) += 2.0 * options.regularization + eta / (u[r] * u[r]);
+            } else {
+              grad[r] += 2.0 * options.regularization * u[r];
+              hess(r, r) += 2.0 * options.regularization;
+            }
             grad_norm_sq += grad[r] * grad[r];
             for (std::size_t s = 0; s < r; ++s) hess(r, s) = hess(s, r);
           }
@@ -152,11 +182,14 @@ CompletionReport amn_complete(const tensor::SparseTensor& t, tensor::CpModel& mo
           }
           if (step.empty()) break;  // no usable direction; keep current row
 
-          // Fraction-to-the-boundary rule plus backtracking line search.
+          // Fraction-to-the-boundary rule (log link) plus backtracking line
+          // search.
           double alpha = 1.0;
-          for (std::size_t r = 0; r < rank; ++r) {
-            if (step[r] > 0.0) {
-              alpha = std::min(alpha, 0.95 * u[r] / step[r]);
+          if constexpr (Loss::log_link) {
+            for (std::size_t r = 0; r < rank; ++r) {
+              if (step[r] > 0.0) {
+                alpha = std::min(alpha, 0.95 * u[r] / step[r]);
+              }
             }
           }
           bool improved = false;
@@ -164,7 +197,7 @@ CompletionReport amn_complete(const tensor::SparseTensor& t, tensor::CpModel& mo
             linalg::Vector candidate = u;
             for (std::size_t r = 0; r < rank; ++r) candidate[r] -= alpha * step[r];
             const double value =
-                row_objective(zs, log_ts, candidate, options.regularization, eta);
+                row_objective<Loss>(zs, targets, candidate, options.regularization, eta);
             if (value < current) {
               u = std::move(candidate);
               current = value;
@@ -180,36 +213,71 @@ CompletionReport amn_complete(const tensor::SparseTensor& t, tensor::CpModel& mo
     }
   };
 
-  // Interior-point continuation: for each barrier value, sweep the
-  // alternating row solves until the objective stalls (or the per-eta sweep
-  // cap is hit), then tighten the barrier geometrically.
-  for (double eta = options.eta_init; eta > options.eta_min; eta /= options.eta_factor) {
-    if (total_sweeps >= options.max_sweeps) break;
-    double eta_prev = mlogq2_objective(t, model, options.regularization);
-    for (int inner = 0; inner < options.sweeps_per_eta; ++inner) {
+  const auto stalled = [&](double before, double after) {
+    const double denom = std::max(std::abs(before), 1e-300);
+    return std::abs(before - after) / denom < options.tol;
+  };
+
+  // One barrier stage: sweep the alternating row solves until the objective
+  // stalls, the stage's sweep cap is hit, or max_sweeps is reached. Returns
+  // whether it stalled.
+  const auto run_stage = [&](double eta, int stage_sweeps) {
+    double eta_prev = objective_of();
+    for (int inner = 0; inner < stage_sweeps; ++inner) {
       if (total_sweeps >= options.max_sweeps) break;
       ++total_sweeps;
       sweep_all_modes(eta);
-      const double objective = mlogq2_objective(t, model, options.regularization);
+      const double objective = objective_of();
       report.objective_history.push_back(objective);
       report.sweeps = total_sweeps;
       CPR_LOG_DEBUG("AMN eta " << eta << " sweep " << inner << " objective " << objective);
-      const double denom = std::max(std::abs(eta_prev), 1e-300);
-      if (std::abs(eta_prev - objective) / denom < options.tol) break;
+      if (stalled(eta_prev, objective)) return true;
       eta_prev = objective;
     }
+    return false;
+  };
+
+  if constexpr (!Loss::log_link) {
+    // No positivity constraint, so no barrier: one unconstrained stage.
+    report.converged = run_stage(0.0, options.max_sweeps);
+    return report;
+  }
+
+  // Interior-point continuation: run a stage per barrier value, then tighten
+  // the barrier geometrically.
+  double prev_objective = objective_of();
+  for (double eta = options.eta_init; eta > options.eta_min; eta /= options.eta_factor) {
+    if (total_sweeps >= options.max_sweeps) break;
+    run_stage(eta, options.sweeps_per_eta);
     const double objective = report.objective_history.empty()
                                  ? prev_objective
                                  : report.objective_history.back();
-    const double denom = std::max(std::abs(prev_objective), 1e-300);
-    if (eta <= options.regularization &&
-        std::abs(prev_objective - objective) / denom < options.tol) {
+    if (eta <= options.regularization && stalled(prev_objective, objective)) {
       report.converged = true;
       break;
     }
     prev_objective = objective;
   }
   return report;
+}
+
+template CompletionReport amn_complete<LeastSquaresLoss>(const tensor::SparseTensor&,
+                                                         tensor::CpModel&,
+                                                         const AmnOptions&);
+template CompletionReport amn_complete<LogQuadraticLoss>(const tensor::SparseTensor&,
+                                                         tensor::CpModel&,
+                                                         const AmnOptions&);
+template CompletionReport amn_complete<HuberLogLoss>(const tensor::SparseTensor&,
+                                                     tensor::CpModel&, const AmnOptions&);
+
+CompletionReport amn_complete(const tensor::SparseTensor& t, tensor::CpModel& model,
+                              const AmnOptions& options) {
+  return amn_complete<LogQuadraticLoss>(t, model, options);
+}
+
+double mlogq2_objective(const tensor::SparseTensor& t, const tensor::CpModel& model,
+                        double regularization) {
+  return amn_objective<LogQuadraticLoss>(t, model, regularization);
 }
 
 }  // namespace cpr::completion

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 #ifdef CPR_HAVE_OPENMP
@@ -37,16 +38,42 @@ std::string CliArgs::get_string(const std::string& key, const std::string& fallb
   return it == flags_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// Converts the whole of `text` with `parse` (a strtoll/strtod wrapper);
+/// throws CheckError naming the flag and its value when `text` has no
+/// number, has trailing characters, or is out of range.
+template <typename Parse>
+auto parse_flag(const std::string& key, const std::string& text, const char* kind,
+                Parse parse) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const auto value = parse(begin, &end);
+  if (end == begin || *end != '\0') {
+    throw CheckError("--" + key + "=" + text + ": not " + kind);
+  }
+  if (errno == ERANGE) {
+    throw CheckError("--" + key + "=" + text + ": out of range");
+  }
+  return value;
+}
+
+}  // namespace
+
 std::int64_t CliArgs::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = flags_.find(key);
   if (it == flags_.end() || it->second.empty()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return parse_flag(key, it->second, "an integer", [](const char* s, char** end) {
+    return static_cast<std::int64_t>(std::strtoll(s, end, 10));
+  });
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
   const auto it = flags_.find(key);
   if (it == flags_.end() || it->second.empty()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  return parse_flag(key, it->second, "a number",
+                    [](const char* s, char** end) { return std::strtod(s, end); });
 }
 
 bool CliArgs::get_bool(const std::string& key, bool fallback) const {

@@ -21,6 +21,9 @@ class CliArgs {
   bool has(const std::string& key) const;
 
   std::string get_string(const std::string& key, const std::string& fallback) const;
+  /// Numeric flags: a missing or empty value yields `fallback`; a value that
+  /// is not entirely one number (trailing characters, no digits, `1e3` for
+  /// an integer) or is out of range throws CheckError naming the flag.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;

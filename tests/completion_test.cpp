@@ -78,12 +78,16 @@ double heldout_rmse(const Problem& problem, const CpModel& model) {
 /// given OpenMP thread count and returns the fitted model.
 template <typename Optimize>
 CpModel fit_with_threads(const Dims& dims, std::size_t rank, int threads,
-                         Optimize&& optimize) {
+                         Optimize&& optimize, bool positive = false) {
   const cpr::testing::ThreadCountGuard guard;
   omp_set_num_threads(threads);
   CpModel model(dims, rank);
   Rng rng(123);
-  model.init_random(rng);
+  if (positive) {
+    model.init_positive(rng, 1.0);
+  } else {
+    model.init_random(rng);
+  }
   optimize(model);
   return model;
 }
@@ -121,6 +125,33 @@ TEST(Ccd, ThreadedSweepMatchesSerial) {
   options.tol = 0.0;
   expect_thread_count_invariant(
       [&](CpModel& m) { ccd_complete(problem.observed, m, options); });
+}
+
+/// AMN's row solves write disjoint rows and its OpenMP-reduced objective
+/// only feeds the stopping rules, so with those off (tol = 0) the fitted
+/// factors are bitwise equal at any thread count.
+template <typename Loss>
+void expect_amn_thread_count_invariant() {
+  const auto problem = make_low_rank_problem({8, 7, 6}, 2, 0.6, 41, /*positive=*/true);
+  AmnOptions options;
+  options.regularization = 1e-8;
+  options.max_sweeps = 12;
+  options.tol = 0.0;
+  const auto fit = [&](CpModel& m) { amn_complete<Loss>(problem.observed, m, options); };
+  const Dims& dims = problem.observed.dims();
+  const CpModel serial = fit_with_threads(dims, 3, 1, fit, /*positive=*/true);
+  for (const int threads : {2, 8}) {
+    const CpModel threaded = fit_with_threads(dims, 3, threads, fit, /*positive=*/true);
+    for (std::size_t j = 0; j < dims.size(); ++j) {
+      EXPECT_EQ(linalg::max_abs_diff(threaded.factor(j), serial.factor(j)), 0.0)
+          << "mode " << j << ", " << threads << " threads";
+    }
+  }
+}
+
+TEST(Amn, ThreadedSweepMatchesSerial) {
+  expect_amn_thread_count_invariant<LogQuadraticLoss>();
+  expect_amn_thread_count_invariant<HuberLogLoss>();
 }
 
 TEST(Sgd, HogwildReducesObjective) {

@@ -15,7 +15,7 @@
 #include "linalg/cg.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/cholesky_tiled.hpp"
-#include "linalg/eigen_sym.hpp"
+#include "support/eigen_sym.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"

@@ -1,4 +1,4 @@
-#include "tensor/cp_als_dense.hpp"
+#include "cp_als_dense.hpp"
 
 #include <cmath>
 

@@ -1,8 +1,8 @@
 #pragma once
 // Classical CP-ALS for fully-observed dense tensors.
 //
-// Reference path used by tests (the completion ALS on a fully-observed Ω
-// must agree with it) and by small exact-decomposition analyses.
+// Test-only reference: tensor_test checks that the completion ALS on a
+// fully-observed Ω agrees with it.
 
 #include "tensor/cp_model.hpp"
 #include "tensor/dense_tensor.hpp"

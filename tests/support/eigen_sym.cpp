@@ -1,4 +1,4 @@
-#include "linalg/eigen_sym.hpp"
+#include "eigen_sym.hpp"
 
 #include <algorithm>
 #include <cmath>

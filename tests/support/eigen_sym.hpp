@@ -1,8 +1,8 @@
 #pragma once
 // Symmetric eigendecomposition via the classical Jacobi rotation method.
 //
-// Needed by the GP baseline (kernel conditioning diagnostics) and tests that
-// cross-check SVD against the eigendecomposition of A^T A.
+// Test-only reference: linalg_test cross-checks the SVD against the
+// eigendecomposition of A^T A.
 
 #include "linalg/matrix.hpp"
 

@@ -12,7 +12,7 @@
 #endif
 
 #include "linalg/blas.hpp"
-#include "tensor/cp_als_dense.hpp"
+#include "support/cp_als_dense.hpp"
 #include "tensor/cp_model.hpp"
 #include "tensor/dense_tensor.hpp"
 #include "tensor/mttkrp.hpp"

@@ -129,15 +129,16 @@ TEST(ToolsHelp, MissingRequiredArgumentsFailWithUsage) {
 // ------------------------------------------------------------- cpr_serve
 
 TEST(CprServeFlags, OutOfRangeIntegersExitWithUsage) {
-  // Each case is refused before the server (or any thread) starts; the
-  // timeout only bounds a build that would start listening instead.
+  // Each out-of-range, negative or non-integer value is refused before the
+  // server (or any thread) starts; the timeout only bounds a build that
+  // would start listening instead.
   const std::vector<std::string> cases = {
       "--tcp=70000",          "--tcp=-1",
       "--tcp=0 --socket=cpr_unused.sock",
       "--io-threads=-1",      "--max-inflight=-1", "--max-backlog=-1",
       "--max-batch=-1",       "--cache=-1",        "--cache-shards=-1",
       "--refit-after=-1",     "--observe-buffer=-1", "--max-wait-us=-1",
-      "--trace-sample=-1"};
+      "--trace-sample=-1",    "--tcp=80abc",       "--max-batch=abc"};
   for (const auto& flags : cases) {
     const auto result = run_command("timeout 20 " + tool_path("cpr_serve") +
                                     " --models=cpr-no-such-dir " + flags);

@@ -201,6 +201,35 @@ TEST(Cli, FallbacksWhenMissing) {
   EXPECT_FALSE(args.get_bool("flag", false));
 }
 
+TEST(Cli, NumericFlagsRejectJunk) {
+  const char* argv[] = {"prog",       "--port=80abc", "--n=abc",
+                        "--big=99999999999999999999", "--sci=1e3",
+                        "--x=2.5kg",  "--y=",         "--huge=1e999",
+                        "--neg=-12",  "--frac=-0.25"};
+  CliArgs args(10, argv);
+  // Trailing characters, no digits, out of range, and a float for an integer.
+  EXPECT_THROW(args.get_int("port", 0), CheckError);
+  EXPECT_THROW(args.get_int("n", 0), CheckError);
+  EXPECT_THROW(args.get_int("big", 0), CheckError);
+  EXPECT_THROW(args.get_int("sci", 0), CheckError);
+  EXPECT_THROW(args.get_double("x", 0.0), CheckError);
+  EXPECT_THROW(args.get_double("n", 0.0), CheckError);
+  EXPECT_THROW(args.get_double("huge", 0.0), CheckError);
+  // The error names the flag and its value.
+  try {
+    args.get_int("port", 0);
+    ADD_FAILURE() << "--port=80abc parsed";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("--port=80abc"), std::string::npos) << e.what();
+  }
+  // Whole numbers still parse; an empty value means "use the fallback".
+  EXPECT_DOUBLE_EQ(args.get_double("sci", 0.0), 1000.0);
+  EXPECT_EQ(args.get_int("neg", 0), -12);
+  EXPECT_DOUBLE_EQ(args.get_double("frac", 0.0), -0.25);
+  EXPECT_EQ(args.get_int("y", 5), 5);
+  EXPECT_DOUBLE_EQ(args.get_double("y", 0.5), 0.5);
+}
+
 TEST(Cli, PositionalArguments) {
   const char* argv[] = {"prog", "first", "--k=v", "second"};
   CliArgs args(4, argv);

@@ -35,6 +35,7 @@
 #include "core/model_file.hpp"
 #include "serve/server.hpp"
 #include "serve/tcp_server.hpp"
+#include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
 
@@ -237,15 +238,20 @@ bool flags_valid(const CliArgs& args) {
   if (args.has("tcp") && !args.get_string("socket", "").empty()) {
     return reject("--tcp and --socket are mutually exclusive");
   }
-  const std::int64_t port = args.get_int("tcp", 0);
-  if (port < 0 || port > 65535) return reject("--tcp must be a port in 0..65535");
-  for (const char* flag :
-       {"io-threads", "max-inflight", "max-backlog", "max-batch", "cache",
-        "cache-shards", "refit-after", "observe-buffer", "max-wait-us",
-        "trace-sample"}) {
-    if (args.get_int(flag, 0) < 0) {
-      return reject("--" + std::string(flag) + " must not be negative");
+  try {
+    const std::int64_t port = args.get_int("tcp", 0);
+    if (port < 0 || port > 65535) return reject("--tcp must be a port in 0..65535");
+    for (const char* flag :
+         {"io-threads", "max-inflight", "max-backlog", "max-batch", "cache",
+          "cache-shards", "refit-after", "observe-buffer", "max-wait-us",
+          "trace-sample"}) {
+      if (args.get_int(flag, 0) < 0) {
+        return reject("--" + std::string(flag) + " must not be negative");
+      }
     }
+    args.get_int("threads", 0);  // any integer is valid (<= 0: the default)
+  } catch (const CheckError& e) {
+    return reject(e.what());  // a value that is not an integer
   }
   return true;
 }

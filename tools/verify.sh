@@ -76,12 +76,15 @@ for arg in "$@"; do
   esac
 done
 
+# A bare `-j` makes CMake 3.25's ctest run one suite at a time; every suite
+# waits passively in OpenMP (tests/CMakeLists.txt), so they can share cores.
+jobs="$(nproc)"
 cmake -B "$build_dir" -S "$repo_root"
 cmake --build "$build_dir" -j
 if [[ "$fast" -eq 1 ]]; then
-  ctest --test-dir "$build_dir" --output-on-failure -j -L quick
+  ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" -L quick
 else
-  ctest --test-dir "$build_dir" --output-on-failure -j
+  ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 fi
 
 if [[ "$sanitize" -eq 1 ]]; then
@@ -91,7 +94,7 @@ if [[ "$sanitize" -eq 1 ]]; then
   cmake -B "$asan_dir" -S "$repo_root" -DCPR_SANITIZE=ON \
     -DCPR_BUILD_BENCH=OFF -DCPR_BUILD_EXAMPLES=OFF
   cmake --build "$asan_dir" -j
-  ctest --test-dir "$asan_dir" --output-on-failure -j
+  ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs"
   echo "verify.sh: ASan+UBSan configure + build + ctest all green"
 fi
 
