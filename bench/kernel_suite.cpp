@@ -1,16 +1,18 @@
-// kernel_suite — self-contained timing harness for the completion hot-path
-// kernels (sparse MTTKRP, the fused ALS sweep, batched CPR inference). It is
-// the perf-tracked core of the cpr_bench regression gate: unlike
-// micro_kernels it needs no google-benchmark, so it is always built and its
-// case set is stable across machines.
+// kernel_suite — the one timing harness for the library's kernels: the
+// fused ALS sweep, one AMN sweep, CP evaluation, Eq.-5 interpolation,
+// batched CPR inference, dense Cholesky/QR, the rank-1 SVD, and the
+// observability primitives. It is the perf-tracked core of the cpr_bench
+// regression gate; it needs nothing beyond the library, so it is always
+// built and its case set is stable across machines.
 //
 // Each case is auto-calibrated to a minimum wall time and reports the
 // minimum per-iteration seconds over --repeats runs (the low-noise
-// statistic for a regression gate). Cases come in pairs: the dispatching
+// statistic for a regression gate). Dispatching kernels come in pairs: the
 // entry point under the ambient CPR_KERNEL mode (the gated case), plus
 // `*_serial` / `*_blocked` pinned variants so one JSON shows the kernel
 // speedup directly. Before any timing, the blocked kernels are cross-checked
-// against the serial references (<= 1e-12); a divergence aborts the run.
+// against the serial references; a divergence aborts the run. ctest runs
+// the suite once with --repeats=1 --min-time-ms=0 for those checks.
 //
 // Flags:
 //   --json=<path>      write perf records through the shared emitter
@@ -30,6 +32,7 @@
 
 #include "bench_common.hpp"
 #include "completion/als.hpp"
+#include "completion/amn.hpp"
 #include "core/cpr_model.hpp"
 #include "core/model_file.hpp"
 #include "grid/discretization.hpp"
@@ -38,10 +41,9 @@
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/qr_tiled.hpp"
+#include "linalg/svd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "tensor/mttkrp.hpp"
-#include "tensor/mttkrp_blocked.hpp"
 #include "util/kernel_mode.hpp"
 #include "util/quantize.hpp"
 #include "util/rng.hpp"
@@ -135,10 +137,10 @@ int main(int argc, char** argv) {
     std::cout
         << "usage: kernel_suite [--json=<path>] [--repeats=5] [--min-time-ms=50]\n"
            "                    [--filter=<substr>] [--seed=1]\n\n"
-           "Times the completion hot-path kernels (MTTKRP, ALS sweep,\n"
-           "predict_batch) under the ambient CPR_KERNEL mode plus pinned\n"
-           "serial/blocked variants, and writes perf records for the\n"
-           "cpr_bench regression gate.\n\n"
+           "Times the library's kernels (ALS and AMN sweeps, CP eval,\n"
+           "interpolation, predict_batch, Cholesky/QR, rank-1 SVD) under the\n"
+           "ambient CPR_KERNEL mode plus pinned serial/blocked variants, and\n"
+           "writes perf records for the cpr_bench regression gate.\n\n"
            "  --json=<path>      write perf records (suite/case/seconds/model_bytes)\n"
            "  --repeats=<n>      timing repetitions per case (default: 5)\n"
            "  --min-time-ms=<n>  minimum timed interval per repetition (default: 50)\n"
@@ -151,36 +153,6 @@ int main(int argc, char** argv) {
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
     Harness harness(args);
     std::cout << "kernel mode: " << kernel_mode_name(kernel_mode()) << "\n";
-
-    // --- sparse MTTKRP --------------------------------------------------
-    const tensor::Dims dims{64, 64, 64};
-    const auto t = random_sparse(dims, 1u << 14, seed);
-    for (const std::size_t rank : {std::size_t{4}, std::size_t{16}, std::size_t{64}}) {
-      tensor::CpModel model(dims, rank);
-      Rng rng(seed + 1);
-      model.init_random(rng);
-      linalg::Matrix out(dims[0], rank);
-      linalg::Matrix reference(dims[0], rank);
-      // A benchmark of a wrong answer is worthless: cross-check first.
-      tensor::sparse_mttkrp_serial(t, model, 0, reference);
-      tensor::sparse_mttkrp_blocked(t, model, 0, out);
-      if (linalg::max_abs_diff(out, reference) > 1e-12) {
-        std::cerr << "error: blocked MTTKRP diverged from the serial reference\n";
-        return 1;
-      }
-      const std::string suffix = "/rank" + std::to_string(rank);
-      harness.run("mttkrp" + suffix,
-                  [&] { tensor::sparse_mttkrp(t, model, 0, out); });
-      {
-        KernelModeGuard guard;
-        set_kernel_mode(KernelMode::Serial);
-        harness.run("mttkrp_serial" + suffix,
-                    [&] { tensor::sparse_mttkrp(t, model, 0, out); });
-        set_kernel_mode(KernelMode::Blocked);
-        harness.run("mttkrp_blocked" + suffix,
-                    [&] { tensor::sparse_mttkrp(t, model, 0, out); });
-      }
-    }
 
     // --- one ALS sweep (fused normal-equation assembly) -----------------
     {
@@ -219,6 +191,22 @@ int main(int argc, char** argv) {
       KernelModeGuard guard;
       set_kernel_mode(KernelMode::Serial);
       harness.run("als_sweep_serial/rank8", sweep);
+    }
+
+    // --- one AMN sweep (cpr-e's Newton/barrier completer) ----------------
+    {
+      const tensor::Dims amn_dims{16, 16, 16};
+      const auto amn_t = random_sparse(amn_dims, 1u << 11, seed + 8);
+      tensor::CpModel init(amn_dims, 4);
+      Rng rng(seed + 9);
+      init.init_positive(rng, 1.0);
+      completion::AmnOptions options;
+      options.max_sweeps = 1;
+      options.sweeps_per_eta = 1;
+      harness.run("amn_sweep", [&] {
+        tensor::CpModel work = init;
+        completion::amn_complete(amn_t, work, options);
+      });
     }
 
     // --- batched CPR inference ------------------------------------------
@@ -304,6 +292,26 @@ int main(int argc, char** argv) {
       }
     }
 
+    // --- CP element evaluation and Eq.-5 interpolation, by order --------
+    for (const std::size_t order : {std::size_t{3}, std::size_t{6}, std::size_t{12}}) {
+      const std::string suffix = "/order" + std::to_string(order);
+      tensor::CpModel model(tensor::Dims(order, 16), 8);
+      Rng rng(seed + 10);
+      model.init_random(rng);
+      const tensor::Index idx(order, 5);
+      harness.run("cp_eval" + suffix, [&] { (void)model.eval(idx); });
+
+      std::vector<grid::ParameterSpec> specs;
+      for (std::size_t j = 0; j < order; ++j) {
+        specs.push_back(
+            grid::ParameterSpec::numerical_log("p" + std::to_string(j), 1.0, 1024.0));
+      }
+      const grid::Discretization disc(specs, 16);
+      const grid::Config x(order, 37.5);
+      const auto eval = [](const tensor::Index&) { return 1.0; };
+      harness.run("interpolate" + suffix, [&] { (void)disc.interpolate(x, eval); });
+    }
+
     // --- dense linalg: tiled Cholesky / solve_spd / blocked QR ----------
     {
       Rng rng(seed + 6);
@@ -382,12 +390,38 @@ int main(int argc, char** argv) {
       }
     }
 
+    // --- small dense solves: ALS row systems and the rank-1 SVD ---------
+    {
+      Rng rng(seed + 11);
+      // The ALS row solve sizes: one rank x rank system per factor row.
+      for (const std::size_t n : {std::size_t{8}, std::size_t{32}, std::size_t{64}}) {
+        linalg::Matrix g(n, n);
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < n; ++j) g(i, j) = rng.normal();
+        }
+        linalg::Matrix spd(n, n);
+        linalg::syrk_tn(g, spd);
+        for (std::size_t i = 0; i < n; ++i) spd(i, i) += 1.0;
+        const linalg::Vector b(n, 1.0);
+        harness.run("solve_spd/n" + std::to_string(n),
+                    [&] { (void)linalg::solve_spd(spd, b); });
+      }
+      // cpr_extrapolation takes the rank-1 SVD of each positive factor.
+      linalg::Matrix positive(64, 16);
+      for (std::size_t i = 0; i < positive.rows(); ++i) {
+        for (std::size_t j = 0; j < positive.cols(); ++j) {
+          positive(i, j) = 0.1 + rng.uniform();
+        }
+      }
+      harness.run("rank1_svd", [&] { (void)linalg::rank1_svd(positive); });
+    }
+
     // --- observability primitives ---------------------------------------
     // The kernel cases above double as the compiled-in-but-unsampled
-    // overhead assertion: MTTKRP, the fused assembly, potrf, QR and
-    // predict_batch all carry CPR_PROFILE_SCOPE markers now, so a
-    // regression in the disabled path trips their gated cases. The two
-    // cases here track the primitive costs directly.
+    // overhead assertion: the fused assembly, potrf, QR and predict_batch
+    // all carry CPR_PROFILE_SCOPE markers, so a regression in the disabled
+    // path trips their gated cases. The two cases here track the primitive
+    // costs directly.
     {
       obs::Histogram histogram;
       double v = 1e-4;

@@ -1,9 +1,9 @@
 // serve_latency — open-loop tail latency of the TCP serving front end.
 //
-// serve_throughput measures closed-loop throughput (each client waits for
-// its reply before sending again), which hides queueing delay: a saturated
-// server slows the clients down instead of growing a queue. This bench is
-// the complement: a Poisson arrival process offers load at a FIXED rate
+// A closed-loop load (each client waits for its reply before sending again)
+// hides queueing delay: a saturated server slows the clients down instead
+// of growing a queue. This bench runs open loop instead: a Poisson arrival
+// process offers load at a FIXED rate
 // regardless of how the server is doing, so tail latency reflects what a
 // real open-world client population would see.
 //

@@ -5,6 +5,7 @@
 #include "linalg/lu.hpp"
 #include "tensor/mttkrp.hpp"
 #include "util/log.hpp"
+#include "util/ordered_sum.hpp"
 
 namespace cpr::completion {
 
@@ -15,22 +16,16 @@ namespace {
 template <typename Loss>
 double amn_objective(const tensor::SparseTensor& t, const tensor::CpModel& model,
                      double regularization) {
-  double total = 0.0;
-#ifdef CPR_HAVE_OPENMP
-#pragma omp parallel for schedule(static) reduction(+ : total)
-#endif
-  for (std::size_t e = 0; e < t.nnz(); ++e) {
+  const double total = ordered_sum(t.nnz(), [&](std::size_t e) {
     const double prediction = model.eval(t.entry_index(e));
     if constexpr (Loss::log_link) {
-      if (prediction <= 0.0) {
-        total += 1e12;  // outside the positive orthant: effectively infinite
-        continue;
-      }
-      total += Loss::rho(std::log(prediction / t.value(e)));
+      // Outside the positive orthant: effectively infinite.
+      if (prediction <= 0.0) return 1e12;
+      return Loss::rho(std::log(prediction / t.value(e)));
     } else {
-      total += Loss::rho(prediction - t.value(e));
+      return Loss::rho(prediction - t.value(e));
     }
-  }
+  });
   const double n = std::max<std::size_t>(t.nnz(), 1);
   return total / n + regularization * model.regularization_term();
 }

@@ -1,12 +1,12 @@
 #pragma once
 // Scoped phase timers for the training/tuning path.
 //
-// `CPR_PROFILE_SCOPE("mttkrp")` at the top of a kernel registers the phase
-// once (a function-local static, so OpenMP teams race-free share one
-// handle) and times the enclosing scope whenever profiling is enabled.
+// `CPR_PROFILE_SCOPE("fused_gram_rhs")` at the top of a kernel registers
+// the phase once (a function-local static, so OpenMP teams race-free share
+// one handle) and times the enclosing scope whenever profiling is enabled.
 // Disabled — the default, and the only state the serving benches ever see —
 // the macro costs one relaxed atomic load, cheap enough to live inside
-// MTTKRP and the per-tile fused Gram+RHS kernel.
+// the per-tile fused Gram+RHS kernel.
 //
 // Enabled via `cpr_train/cpr_tune --profile`, every scope accumulates into
 // per-thread-sharded {calls, total_ns} cells rendered as a per-phase time

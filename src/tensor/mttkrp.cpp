@@ -1,28 +1,8 @@
 #include "tensor/mttkrp.hpp"
 
-#include "obs/profile.hpp"
-#include "tensor/mttkrp_blocked.hpp"
-#include "util/kernel_mode.hpp"
-
-#ifdef CPR_HAVE_OPENMP
-#include <omp.h>
-#endif
+#include "util/ordered_sum.hpp"
 
 namespace cpr::tensor {
-
-linalg::Matrix khatri_rao(const linalg::Matrix& a, const linalg::Matrix& b) {
-  CPR_CHECK_MSG(a.cols() == b.cols(), "khatri_rao: rank mismatch");
-  linalg::Matrix out(a.rows() * b.rows(), a.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t k = 0; k < b.rows(); ++k) {
-      double* row = out.row_ptr(i * b.rows() + k);
-      const double* ai = a.row_ptr(i);
-      const double* bk = b.row_ptr(k);
-      for (std::size_t r = 0; r < a.cols(); ++r) row[r] = ai[r] * bk[r];
-    }
-  }
-  return out;
-}
 
 void hadamard_row(const CpModel& model, const SparseTensor& t, std::size_t entry,
                   std::size_t skip_mode, double* z) {
@@ -35,76 +15,11 @@ void hadamard_row(const CpModel& model, const SparseTensor& t, std::size_t entry
   }
 }
 
-namespace {
-
-/// Shared shape checks + zeroing for both MTTKRP entry points.
-std::size_t prepare_mttkrp_output(const CpModel& model, std::size_t mode,
-                                  linalg::Matrix& out) {
-  CPR_CHECK(mode < model.order());
-  CPR_CHECK(out.rows() == model.dims()[mode] && out.cols() == model.rank());
-  out.fill(0.0);
-  return model.rank();
-}
-
-/// Entry-order accumulation of entries [begin, end) into a zeroed output;
-/// the single kernel shared by the serial path and each thread's local
-/// accumulation in the parallel path.
-void accumulate_entries(const SparseTensor& t, const CpModel& model,
-                        std::size_t mode, std::size_t rank, std::size_t begin,
-                        std::size_t end, linalg::Matrix& out) {
-  std::vector<double> z(rank);
-  for (std::size_t e = begin; e < end; ++e) {
-    hadamard_row(model, t, e, mode, z.data());
-    double* row = out.row_ptr(t.index(e, mode));
-    const double value = t.value(e);
-    for (std::size_t r = 0; r < rank; ++r) row[r] += value * z[r];
-  }
-}
-
-}  // namespace
-
-void sparse_mttkrp_serial(const SparseTensor& t, const CpModel& model,
-                          std::size_t mode, linalg::Matrix& out) {
-  const std::size_t rank = prepare_mttkrp_output(model, mode, out);
-  accumulate_entries(t, model, mode, rank, 0, t.nnz(), out);
-}
-
-void sparse_mttkrp(const SparseTensor& t, const CpModel& model, std::size_t mode,
-                   linalg::Matrix& out) {
-  CPR_PROFILE_SCOPE("mttkrp");
-  if (kernel_mode() == KernelMode::Blocked) {
-    sparse_mttkrp_blocked(t, model, mode, out);
-    return;
-  }
-  const std::size_t rank = prepare_mttkrp_output(model, mode, out);
-#ifdef CPR_HAVE_OPENMP
-  if (omp_get_max_threads() > 1) {
-#pragma omp parallel
-    {
-      const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-      const auto n_threads = static_cast<std::size_t>(omp_get_num_threads());
-      linalg::Matrix local(out.rows(), out.cols(), 0.0);
-      accumulate_entries(t, model, mode, rank, t.nnz() * tid / n_threads,
-                         t.nnz() * (tid + 1) / n_threads, local);
-#pragma omp critical(cpr_mttkrp_reduce)
-      out += local;
-    }
-    return;
-  }
-#endif
-  accumulate_entries(t, model, mode, rank, 0, t.nnz(), out);
-}
-
 double sq_residual_observed(const SparseTensor& t, const CpModel& model) {
-  double total = 0.0;
-#ifdef CPR_HAVE_OPENMP
-#pragma omp parallel for schedule(static) reduction(+ : total)
-#endif
-  for (std::size_t e = 0; e < t.nnz(); ++e) {
+  return ordered_sum(t.nnz(), [&](std::size_t e) {
     const double diff = t.value(e) - model.eval(t.entry_index(e));
-    total += diff * diff;
-  }
-  return total;
+    return diff * diff;
+  });
 }
 
 }  // namespace cpr::tensor

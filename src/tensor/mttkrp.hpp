@@ -1,41 +1,26 @@
 #pragma once
-// Khatri–Rao product and sparse MTTKRP.
+// Scalar per-entry kernels of CP completion over the observed entries Ω.
 //
-// MTTKRP (matricized tensor times Khatri–Rao product) is the dominant kernel
-// of CP optimization: for mode m,
-//   M(i_m, :) += t_i * hadamard_{j != m} U_j(i_j, :)
-// summed over observed entries i. The sparse variant iterates Ω directly.
+// The row solves of ALS, CCD and AMN (completion/) each need, for an
+// observed entry i, the Hadamard product of every factor row except the one
+// being solved: z_r = prod_{j != m} U_j(i_j, r). `hadamard_row` is that
+// product for one entry — the scalar reference of the serial ALS assembly,
+// which the blocked `hadamard_block` (tensor/mttkrp_blocked.hpp) matches
+// bitwise. The TU is compiled with FP contraction off so the two agree.
 
-#include "linalg/matrix.hpp"
 #include "tensor/cp_model.hpp"
 #include "tensor/sparse_tensor.hpp"
 
 namespace cpr::tensor {
 
-/// Column-wise Khatri–Rao product: (A ⊙ B)((i*rows(B)+k), r) = A(i,r)*B(k,r).
-linalg::Matrix khatri_rao(const linalg::Matrix& a, const linalg::Matrix& b);
-
-/// Sparse MTTKRP for the given mode; `out` must be dims[mode] x rank and is
-/// overwritten. Dispatches on the runtime kernel mode (util/kernel_mode.hpp):
-/// `blocked` (default) runs the cache-blocked SIMD kernel of
-/// tensor/mttkrp_blocked.hpp; `CPR_KERNEL=serial` falls back to this file's
-/// scalar reference, parallelized over entries with thread-local
-/// accumulators. Both agree with `sparse_mttkrp_serial` within 1e-12.
-void sparse_mttkrp(const SparseTensor& t, const CpModel& model, std::size_t mode,
-                   linalg::Matrix& out);
-
-/// Single-threaded MTTKRP reference: the exact entry-order accumulation the
-/// parallel path reduces to. The threaded variant must match it within
-/// floating-point reduction reordering (~1e-12 relative).
-void sparse_mttkrp_serial(const SparseTensor& t, const CpModel& model,
-                          std::size_t mode, linalg::Matrix& out);
-
 /// Hadamard row product of all factors except `skip_mode` at the entry's
-/// coordinates: z_r = prod_{j != skip} U_j(i_j, r). Appends into `z` (size R).
+/// coordinates: z_r = prod_{j != skip} U_j(i_j, r). Writes `z` (size R).
 void hadamard_row(const CpModel& model, const SparseTensor& t, std::size_t entry,
                   std::size_t skip_mode, double* z);
 
 /// Sum of squared residuals over observed entries: sum_Ω (t_i - t̂_i)^2.
+/// Summed in fixed chunks (util/ordered_sum.hpp), so the value is bitwise
+/// the same at every thread count.
 double sq_residual_observed(const SparseTensor& t, const CpModel& model);
 
 }  // namespace cpr::tensor

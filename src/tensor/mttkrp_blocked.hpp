@@ -1,94 +1,21 @@
 #pragma once
-// Cache-blocked, explicitly vectorized sparse MTTKRP — the tentpole kernel
-// layer behind the `CPR_KERNEL=blocked` dispatch (util/kernel_mode.hpp).
+// Blocked gather of Hadamard rows — the first stage of the fused ALS
+// normal-equation assembly behind `CPR_KERNEL=blocked` (util/kernel_mode.hpp).
 //
-// The scalar reference (tensor/mttkrp.hpp) walks the nonzeros in storage
-// order and scatters each contribution into a dims[mode] x rank output with
-// a thread-local-accumulator reduction. This layer instead counting-sorts
-// the nonzeros by their output row, partitions the rows into blocks whose
-// output tile fits the L2 budget, and runs the rank-dimension inner loops
-// through `#pragma omp simd` over restrict-qualified pointers so the
-// compiler vectorizes them (the TU is built with -march=native where
-// available, with FP contraction off so results stay bitwise-stable).
-// Because the counting sort is stable, every output element accumulates its
-// contributions in exactly the serial entry order: the blocked kernel is
-// bitwise-equal to `sparse_mttkrp_serial` per element, threads never share
-// an output row, and no reduction pass is needed.
+// For one factor row, ALS expands the observed entries of the row's slice
+// (tensor::ModeSlices) tile by tile into a block of Hadamard rows, then
+// accumulates Z^T Z and Z^T w over the tile (linalg/fused.hpp). This TU runs
+// the rank loops through `#pragma omp simd` over restrict-qualified
+// pointers, built with -march=native where available and FP contraction off,
+// so every row is bitwise-equal to the scalar `hadamard_row`
+// (tensor/mttkrp.hpp).
 
 #include <cstddef>
-#include <vector>
 
-#include "linalg/matrix.hpp"
 #include "tensor/cp_model.hpp"
 #include "tensor/sparse_tensor.hpp"
 
 namespace cpr::tensor {
-
-/// \brief Nonzeros of a sparse tensor bucketed by their coordinate along one
-///        mode, with the mode's rows partitioned into L2-sized blocks.
-///
-/// Built in O(nnz) by a stable counting sort, so the entry ids of each row
-/// are listed in ascending storage order — the accumulation order of the
-/// serial reference kernel.
-class RowBlocks {
- public:
-  /// \brief Buckets the nonzeros of `t` along mode `mode`.
-  /// \param t    the observed tensor.
-  /// \param mode the MTTKRP output mode (row index of the output matrix).
-  /// \param rank CP rank; sizes the row blocks so one block's output tile
-  ///             (block rows x rank doubles) stays inside the L2 budget.
-  RowBlocks(const SparseTensor& t, std::size_t mode, std::size_t rank);
-
-  /// \brief Number of rows along the bucketed mode.
-  std::size_t n_rows() const { return row_offsets_.size() - 1; }
-
-  /// \brief Number of row blocks (>= 1 unless the mode has no rows).
-  std::size_t n_blocks() const { return block_rows_.size() - 1; }
-
-  /// \brief First row owned by block `b`.
-  std::size_t block_first_row(std::size_t b) const { return block_rows_[b]; }
-
-  /// \brief One-past-last row owned by block `b`.
-  std::size_t block_last_row(std::size_t b) const { return block_rows_[b + 1]; }
-
-  /// \brief Entry ids of row `i`, ascending in storage order.
-  const std::size_t* row_entries(std::size_t i) const {
-    return sorted_.data() + row_offsets_[i];
-  }
-
-  /// \brief Number of nonzeros observed in row `i`.
-  std::size_t row_entry_count(std::size_t i) const {
-    return row_offsets_[i + 1] - row_offsets_[i];
-  }
-
- private:
-  std::vector<std::size_t> sorted_;       ///< entry ids, stably sorted by row
-  std::vector<std::size_t> row_offsets_;  ///< CSR offsets into sorted_, n_rows + 1
-  std::vector<std::size_t> block_rows_;   ///< block row boundaries, n_blocks + 1
-};
-
-/// \brief Blocked SIMD sparse MTTKRP for the given mode.
-/// \param t     the observed tensor.
-/// \param model CP factors; factor(mode) is not read.
-/// \param mode  output mode; `out` must be dims[mode] x rank and is
-///              overwritten.
-/// \param out   the MTTKRP result matrix.
-///
-/// Matches `sparse_mttkrp_serial` bitwise per element at any thread count
-/// (each row's contributions accumulate in storage order and rows are owned
-/// by exactly one block). With more than one OpenMP thread the nonzeros are
-/// bucketed into row blocks and the blocks run in parallel; with one thread
-/// the same fused SIMD inner loops stream the nonzeros in storage order
-/// directly (the bucketing would only re-derive that order).
-void sparse_mttkrp_blocked(const SparseTensor& t, const CpModel& model,
-                           std::size_t mode, linalg::Matrix& out);
-
-/// \brief Blocked MTTKRP over a prebuilt row partition (amortizes the
-///        counting sort across repeated calls with the same sparsity).
-/// \param blocks partition previously built for (`t`, `mode`, rank).
-void sparse_mttkrp_blocked(const SparseTensor& t, const CpModel& model,
-                           std::size_t mode, const RowBlocks& blocks,
-                           linalg::Matrix& out);
 
 /// \brief Packs the Hadamard rows of a list of nonzeros into a row block.
 /// \param model     CP factors.
@@ -101,8 +28,7 @@ void sparse_mttkrp_blocked(const SparseTensor& t, const CpModel& model,
 ///
 /// Row b equals `hadamard_row(model, t, entries[b], skip_mode, ...)` bitwise;
 /// the first two participating factors initialize the product directly
-/// (1 * a == a exactly), the rest multiply in ascending mode order. This is
-/// the gather stage of the fused normal-equation assembly (linalg/fused.hpp).
+/// (1 * a == a exactly), the rest multiply in ascending mode order.
 void hadamard_block(const CpModel& model, const SparseTensor& t,
                     const std::size_t* entries, std::size_t n,
                     std::size_t skip_mode, double* z_block);

@@ -1,9 +1,7 @@
 #pragma once
 // Minimal command-line flag parsing for bench/example binaries.
 //
-// Supports `--key=value`, `--key value`, and boolean `--flag` forms. Unknown
-// google-benchmark flags (--benchmark_*) are ignored so bench binaries can
-// mix our flags with theirs.
+// Supports `--key=value`, `--key value`, and boolean `--flag` forms.
 
 #include <cstdint>
 #include <map>

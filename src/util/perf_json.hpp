@@ -62,7 +62,8 @@ struct PerfDelta {
 /// \brief Result of diffing a merged run against the committed baseline.
 struct PerfDiff {
   std::vector<PerfDelta> deltas;      ///< one per current record, input order
-  std::vector<PerfRecord> missing;    ///< baseline cases absent from the run
+  std::vector<PerfRecord> missing;    ///< baseline cases of a suite that ran, absent from the run
+  std::vector<PerfRecord> not_run;    ///< baseline cases of suites that did not run
   std::size_t regressions = 0;        ///< deltas with regression == true
 };
 
@@ -73,9 +74,10 @@ struct PerfDiff {
 ///                  current/baseline above 1 + threshold is a regression.
 ///
 /// Cases are keyed by (suite, case name). Current cases without a baseline
-/// are reported with in_baseline = false (new cases never gate); baseline
-/// cases that did not run land in `missing` so a silently-skipped suite is
-/// visible.
+/// are reported with in_baseline = false (new cases never gate). A baseline
+/// case whose suite produced records but not this case lands in `missing`:
+/// the case was renamed or deleted, and its bound would otherwise lapse
+/// silently. Baseline cases of suites with no records land in `not_run`.
 PerfDiff diff_perf(const std::vector<PerfRecord>& current,
                    const std::vector<PerfRecord>& baseline, double threshold);
 

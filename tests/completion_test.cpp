@@ -18,6 +18,7 @@
 #include "completion/ccd.hpp"
 #include "completion/loss.hpp"
 #include "completion/sgd.hpp"
+#include "completion/tucker_als.hpp"
 #include "tensor/mttkrp.hpp"
 #include "util/rng.hpp"
 
@@ -127,9 +128,9 @@ TEST(Ccd, ThreadedSweepMatchesSerial) {
       [&](CpModel& m) { ccd_complete(problem.observed, m, options); });
 }
 
-/// AMN's row solves write disjoint rows and its OpenMP-reduced objective
-/// only feeds the stopping rules, so with those off (tol = 0) the fitted
-/// factors are bitwise equal at any thread count.
+/// AMN's row solves write disjoint rows and its objective only feeds the
+/// stopping rules, so with those off (tol = 0) the fitted factors are
+/// bitwise equal at any thread count.
 template <typename Loss>
 void expect_amn_thread_count_invariant() {
   const auto problem = make_low_rank_problem({8, 7, 6}, 2, 0.6, 41, /*positive=*/true);
@@ -152,6 +153,59 @@ void expect_amn_thread_count_invariant() {
 TEST(Amn, ThreadedSweepMatchesSerial) {
   expect_amn_thread_count_invariant<LogQuadraticLoss>();
   expect_amn_thread_count_invariant<HuberLogLoss>();
+}
+
+/// The objectives the stopping rules read, from fixed starting points:
+/// ALS's and Tucker's directly, and the per-sweep histories of short ALS,
+/// AMN and Tucker fits.
+std::vector<double> objectives_under(const Problem& problem, int threads) {
+  const cpr::testing::ThreadCountGuard guard;
+  omp_set_num_threads(threads);
+  const SparseTensor& t = problem.observed;
+  std::vector<double> out;
+  const auto append = [&](const CompletionReport& report) {
+    out.insert(out.end(), report.objective_history.begin(),
+               report.objective_history.end());
+  };
+  CompletionOptions options;
+  options.max_sweeps = 2;
+  options.tol = 0.0;
+
+  Rng rng(7);
+  CpModel cp(t.dims(), 3);
+  cp.init_positive(rng, 1.0);
+  out.push_back(completion_objective(t, cp, 1e-5));
+  CpModel als = cp;
+  append(als_complete(t, als, options));
+  AmnOptions amn_options;
+  amn_options.max_sweeps = 2;
+  amn_options.tol = 0.0;
+  CpModel amn = cp;
+  append(amn_complete(t, amn, amn_options));
+
+  tensor::TuckerModel tucker(t.dims(), {2, 2, 2});
+  tucker.init_ones(rng);
+  out.push_back(tucker_objective(t, tucker, 1e-5));
+  append(tucker_complete(t, tucker, options));
+  return out;
+}
+
+TEST(Objective, BitwiseEqualAcrossRunsAndThreadCounts) {
+  // ~3800 observations: many fixed 256-entry chunks per thread, where an
+  // arrival-order reduction would round differently per team size.
+  const auto problem = make_low_rank_problem({24, 20, 16}, 3, 0.5, 91, /*positive=*/true);
+  const std::vector<double> reference = objectives_under(problem, 1);
+  ASSERT_FALSE(reference.empty());
+  for (const int threads : {1, 2, 4, 8}) {
+    for (int run = 0; run < 2; ++run) {
+      const std::vector<double> objectives = objectives_under(problem, threads);
+      ASSERT_EQ(objectives.size(), reference.size());
+      for (std::size_t k = 0; k < reference.size(); ++k) {
+        EXPECT_EQ(objectives[k], reference[k])
+            << threads << " threads, run " << run << ", objective " << k;
+      }
+    }
+  }
 }
 
 TEST(Sgd, HogwildReducesObjective) {

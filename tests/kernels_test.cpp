@@ -1,9 +1,8 @@
-// Equivalence suite for the blocked SIMD kernel layer (the CPR_KERNEL
-// tentpole): every blocked kernel must match its scalar reference to
-// <= 1e-12 at 1, 2, and 8 threads, mirroring the PR-1 thread-invariance
-// tests. Where the blocked design guarantees the exact serial accumulation
-// order (MTTKRP row buckets, the fused normal-equation tile, the vectorized
-// CP evaluation) the tests assert bitwise equality outright.
+// Equivalence suite for the blocked SIMD kernel layer behind CPR_KERNEL:
+// every blocked kernel must match its scalar reference to <= 1e-12 at 1, 2,
+// and 8 threads. Where the blocked design guarantees the exact serial
+// accumulation order (the Hadamard gather, the fused normal-equation tile,
+// the vectorized CP evaluation) the tests assert bitwise equality outright.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +17,7 @@
 #include "linalg/cholesky.hpp"
 #include "linalg/fused.hpp"
 #include "linalg/qr.hpp"
+#include "obs/profile.hpp"
 #include "omp_test_utils.hpp"
 #include "tensor/mttkrp.hpp"
 #include "tensor/mttkrp_blocked.hpp"
@@ -56,140 +56,57 @@ TEST(KernelMode, ParsesAndRejects) {
   EXPECT_STREQ(kernel_mode_name(KernelMode::Blocked), "blocked");
 }
 
+/// Calls of the fused Gram+RHS kernel, which only the blocked ALS assembly
+/// runs, while `body` executes.
+template <typename Body>
+std::uint64_t fused_gram_rhs_calls(Body&& body) {
+  auto& profiler = obs::Profiler::instance();
+  profiler.reset();
+  profiler.set_enabled(true);
+  body();
+  profiler.set_enabled(false);
+  std::uint64_t calls = 0;
+  for (const auto& phase : profiler.stats()) {
+    if (phase.name == "fused_gram_rhs") calls = phase.calls;
+  }
+  profiler.reset();
+  return calls;
+}
+
 TEST(KernelMode, DispatchSelectsTheRequestedKernel) {
-  // Both dispatch arms must agree with the serial reference on the same
-  // input; this pins the CPR_KERNEL plumbing itself.
+  // One ALS sweep under each mode: the profiler shows which assembly ran
+  // (the fused kernel only under `blocked`), and both arms must produce the
+  // serial reference's factors bitwise. This pins the CPR_KERNEL plumbing
+  // itself.
   const Dims dims{7, 6, 5};
   const auto t = random_sparse(dims, 0.5, 11);
-  CpModel m(dims, 4);
-  Rng rng(12);
-  m.init_random(rng);
-  linalg::Matrix reference(dims[0], 4);
-  tensor::sparse_mttkrp_serial(t, m, 0, reference);
+  completion::CompletionOptions options;
+  options.max_sweeps = 1;
+  options.tol = 0.0;
+  const auto sweep = [&] {
+    CpModel m(dims, 4);
+    Rng rng(12);
+    m.init_random(rng);
+    completion::als_complete(t, m, options);
+    return m;
+  };
 
   KernelModeGuard guard;
+  set_kernel_mode(KernelMode::Serial);
+  const CpModel reference = sweep();
   for (const KernelMode mode : {KernelMode::Serial, KernelMode::Blocked}) {
     set_kernel_mode(mode);
-    linalg::Matrix out(dims[0], 4);
-    tensor::sparse_mttkrp(t, m, 0, out);
-    EXPECT_LT(linalg::max_abs_diff(out, reference), 1e-12)
-        << "mode " << kernel_mode_name(mode);
-  }
-}
-
-TEST(BlockedMttkrp, RowBlocksPartitionIsStableAndComplete) {
-  const Dims dims{5, 4, 3};
-  const auto t = random_sparse(dims, 0.7, 21);
-  const tensor::RowBlocks blocks(t, 1, 8);
-  ASSERT_EQ(blocks.n_rows(), dims[1]);
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < blocks.n_rows(); ++i) {
-    const std::size_t* entries = blocks.row_entries(i);
-    const std::size_t count = blocks.row_entry_count(i);
-    total += count;
-    for (std::size_t k = 0; k < count; ++k) {
-      EXPECT_EQ(t.index(entries[k], 1), i) << "entry bucketed into the wrong row";
-      // Stability: ascending entry ids == the serial accumulation order.
-      if (k > 0) {
-        EXPECT_LT(entries[k - 1], entries[k]);
-      }
+    CpModel out(dims, 4);
+    const std::uint64_t calls = fused_gram_rhs_calls([&] { out = sweep(); });
+    if (mode == KernelMode::Blocked) {
+      EXPECT_GT(calls, 0u) << "blocked mode did not run the fused assembly";
+    } else {
+      EXPECT_EQ(calls, 0u) << "serial mode ran the fused assembly";
     }
-  }
-  EXPECT_EQ(total, t.nnz());
-  // Blocks tile the row range exactly.
-  EXPECT_EQ(blocks.block_first_row(0), 0u);
-  EXPECT_EQ(blocks.block_last_row(blocks.n_blocks() - 1), blocks.n_rows());
-  for (std::size_t b = 1; b < blocks.n_blocks(); ++b) {
-    EXPECT_EQ(blocks.block_last_row(b - 1), blocks.block_first_row(b));
-  }
-}
-
-TEST(BlockedMttkrp, MatchesSerialAcrossOrdersRanksAndModes) {
-  // Orders 2..4 cover the specialized inner loops (2, 3) and the generic
-  // Hadamard-tile arm (4); the ranks cover scalar remainders of every SIMD
-  // width.
-  const std::vector<Dims> shapes{{9, 8}, {7, 6, 5}, {5, 4, 3, 3}};
-  for (const auto& dims : shapes) {
-    const auto t = random_sparse(dims, 0.5, 31 + dims.size());
-    ASSERT_GT(t.nnz(), 0u);
-    for (const std::size_t rank : {1u, 3u, 8u, 17u}) {
-      CpModel m(dims, rank);
-      Rng rng(41 + rank);
-      m.init_random(rng);
-      for (std::size_t mode = 0; mode < dims.size(); ++mode) {
-        linalg::Matrix reference(dims[mode], rank);
-        tensor::sparse_mttkrp_serial(t, m, mode, reference);
-        linalg::Matrix out(dims[mode], rank);
-        tensor::sparse_mttkrp_blocked(t, m, mode, out);
-        EXPECT_LT(linalg::max_abs_diff(out, reference), 1e-12)
-            << "order " << dims.size() << " rank " << rank << " mode " << mode;
-      }
+    for (std::size_t j = 0; j < dims.size(); ++j) {
+      EXPECT_EQ(linalg::max_abs_diff(out.factor(j), reference.factor(j)), 0.0)
+          << "mode " << kernel_mode_name(mode) << ", factor " << j;
     }
-  }
-}
-
-TEST(BlockedMttkrp, BitwiseEqualToSerialInStorageOrder) {
-  // The design guarantee is stronger than 1e-12: stable row bucketing
-  // preserves the serial per-element accumulation order exactly.
-  const Dims dims{12, 11, 10};
-  const auto t = random_sparse(dims, 0.4, 51);
-  CpModel m(dims, 8);
-  Rng rng(52);
-  m.init_random(rng);
-  for (std::size_t mode = 0; mode < 3; ++mode) {
-    linalg::Matrix reference(dims[mode], 8);
-    tensor::sparse_mttkrp_serial(t, m, mode, reference);
-    linalg::Matrix out(dims[mode], 8);
-    tensor::sparse_mttkrp_blocked(t, m, mode, out);
-    EXPECT_EQ(linalg::max_abs_diff(out, reference), 0.0) << "mode " << mode;
-  }
-}
-
-TEST(BlockedMttkrp, ThreadCountInvariant) {
-  const Dims dims{16, 15, 14};
-  const auto t = random_sparse(dims, 0.3, 61);
-  CpModel m(dims, 6);
-  Rng rng(62);
-  m.init_random(rng);
-  for (std::size_t mode = 0; mode < 3; ++mode) {
-    linalg::Matrix reference(dims[mode], 6);
-    tensor::sparse_mttkrp_serial(t, m, mode, reference);
-#ifdef CPR_HAVE_OPENMP
-    const cpr::testing::ThreadCountGuard guard;
-    for (const int threads : {1, 2, 8}) {
-      omp_set_num_threads(threads);
-      linalg::Matrix out(dims[mode], 6);
-      tensor::sparse_mttkrp_blocked(t, m, mode, out);
-      EXPECT_LT(linalg::max_abs_diff(out, reference), 1e-12)
-          << "mode " << mode << ", " << threads << " threads";
-    }
-#else
-    linalg::Matrix out(dims[mode], 6);
-    tensor::sparse_mttkrp_blocked(t, m, mode, out);
-    EXPECT_LT(linalg::max_abs_diff(out, reference), 1e-12);
-#endif
-  }
-}
-
-TEST(BlockedMttkrp, HandlesUnobservedRowsAndSingleRowConcentration) {
-  // Rows with no nonzeros must stay zero; all nonzeros in one output row
-  // exercises a maximally unbalanced bucket.
-  const Dims dims{6, 50, 4};
-  SparseTensor t(dims);
-  Rng rng(71);
-  for (std::size_t k = 0; k < 40; ++k) {
-    t.push_back({k % dims[0], 17, k % dims[2]}, rng.normal());
-  }
-  CpModel m(dims, 5);
-  m.init_random(rng);
-  linalg::Matrix reference(dims[1], 5);
-  tensor::sparse_mttkrp_serial(t, m, 1, reference);
-  linalg::Matrix out(dims[1], 5);
-  tensor::sparse_mttkrp_blocked(t, m, 1, out);
-  EXPECT_EQ(linalg::max_abs_diff(out, reference), 0.0);
-  for (std::size_t i = 0; i < dims[1]; ++i) {
-    if (i == 17) continue;
-    for (std::size_t r = 0; r < 5; ++r) EXPECT_EQ(out(i, r), 0.0);
   }
 }
 

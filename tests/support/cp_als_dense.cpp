@@ -4,7 +4,6 @@
 
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
-#include "tensor/mttkrp.hpp"
 #include "util/log.hpp"
 
 namespace cpr::tensor {

@@ -1,15 +1,10 @@
 // Tests for the tensor substrate: multi-index utilities, dense/sparse
-// tensors, the CP model, MTTKRP, and fully-observed dense CP-ALS.
+// tensors, the CP model, the per-entry completion kernels, and
+// fully-observed dense CP-ALS.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-
-#ifdef CPR_HAVE_OPENMP
-#include <omp.h>
-
-#include "omp_test_utils.hpp"
-#endif
 
 #include "linalg/blas.hpp"
 #include "support/cp_als_dense.hpp"
@@ -209,47 +204,6 @@ TEST(CpModel, SizeLinearInOrderAndRank) {
   EXPECT_NEAR(mode_ratio, 4.0 / 3.0, 0.1);
 }
 
-TEST(KhatriRao, MatchesDefinition) {
-  linalg::Matrix a{{1, 2}, {3, 4}};
-  linalg::Matrix b{{5, 6}, {7, 8}, {9, 10}};
-  const linalg::Matrix kr = khatri_rao(a, b);
-  ASSERT_EQ(kr.rows(), 6u);
-  EXPECT_DOUBLE_EQ(kr(0, 0), 1 * 5);
-  EXPECT_DOUBLE_EQ(kr(2, 1), 2 * 10);
-  EXPECT_DOUBLE_EQ(kr(5, 0), 3 * 9);
-}
-
-TEST(Mttkrp, SparseMatchesDenseDefinition) {
-  Rng rng(6);
-  const Dims dims{4, 3, 5};
-  CpModel m(dims, 2);
-  m.init_random(rng);
-  // Fully observed random tensor.
-  SparseTensor t(dims);
-  Index idx(3, 0);
-  do {
-    t.push_back(idx, rng.normal());
-  } while (next_index(idx, dims));
-
-  for (std::size_t mode = 0; mode < 3; ++mode) {
-    linalg::Matrix out(dims[mode], 2);
-    sparse_mttkrp(t, m, mode, out);
-    // Brute-force reference.
-    linalg::Matrix reference(dims[mode], 2, 0.0);
-    for (std::size_t e = 0; e < t.nnz(); ++e) {
-      const Index i = t.entry_index(e);
-      for (std::size_t r = 0; r < 2; ++r) {
-        double z = 1.0;
-        for (std::size_t j = 0; j < 3; ++j) {
-          if (j != mode) z *= m.factor(j)(i[j], r);
-        }
-        reference(i[mode], r) += t.value(e) * z;
-      }
-    }
-    EXPECT_LT(linalg::max_abs_diff(out, reference), 1e-10);
-  }
-}
-
 TEST(Mttkrp, HadamardRowSkipsMode) {
   Rng rng(7);
   CpModel m({2, 3, 4}, 3);
@@ -271,38 +225,6 @@ TEST(Mttkrp, SqResidualObservedZeroForExactModel) {
   t.push_back({0, 1}, m.eval({0, 1}));
   t.push_back({2, 2}, m.eval({2, 2}));
   EXPECT_NEAR(sq_residual_observed(t, m), 0.0, 1e-18);
-}
-
-TEST(Mttkrp, ThreadedMatchesSerialReference) {
-  Rng rng(9);
-  const Dims dims{6, 5, 4};
-  CpModel m(dims, 3);
-  m.init_random(rng);
-  SparseTensor t(dims);
-  Index idx(3, 0);
-  do {
-    if (rng.uniform() < 0.6) t.push_back(idx, rng.normal());
-  } while (next_index(idx, dims));
-  ASSERT_GT(t.nnz(), 0u);
-
-  for (std::size_t mode = 0; mode < 3; ++mode) {
-    linalg::Matrix reference(dims[mode], 3);
-    sparse_mttkrp_serial(t, m, mode, reference);
-#ifdef CPR_HAVE_OPENMP
-    const cpr::testing::ThreadCountGuard guard;
-    for (const int threads : {1, 2, 8}) {
-      omp_set_num_threads(threads);
-      linalg::Matrix out(dims[mode], 3);
-      sparse_mttkrp(t, m, mode, out);
-      EXPECT_LT(linalg::max_abs_diff(out, reference), 1e-12)
-          << "mode " << mode << ", " << threads << " threads";
-    }
-#else
-    linalg::Matrix out(dims[mode], 3);
-    sparse_mttkrp(t, m, mode, out);
-    EXPECT_LT(linalg::max_abs_diff(out, reference), 1e-12);
-#endif
-  }
 }
 
 TEST(DenseAls, RecoversExactLowRankTensor) {

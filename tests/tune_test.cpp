@@ -10,6 +10,7 @@
 #include <cmath>
 #include <set>
 
+#include "apps/benchmark_app.hpp"
 #include "common/evaluation.hpp"
 #include "metrics/metrics.hpp"
 #include "test_data.hpp"
@@ -186,6 +187,57 @@ TEST(SearchSpace, EveryRegistryFamilyDeclaresAValidSpace) {
   }
 }
 
+/// The cpr space keeps the grid and candidate order the removed CPR-only
+/// tuner swept (cells, then rank, then lambda), so tuned cpr models stay
+/// reproducible; cell and rank lists shrink with the dimensionality.
+TEST(SearchSpace, CprAxesArePinnedPerDimensionality) {
+  struct Expected {
+    std::size_t d;
+    std::vector<double> cells;
+    std::vector<double> ranks;
+  };
+  const std::vector<Expected> cases = {
+      {2, {4, 8, 16}, {2, 4, 8, 16}},
+      {4, {4, 8, 12}, {2, 4, 8, 16}},
+      {6, {4, 6, 8, 10}, {4, 8, 16}},
+  };
+  const std::vector<double> lambdas = {1e-5, 1e-4};
+  for (const auto& expected : cases) {
+    SCOPED_TRACE("d = " + std::to_string(expected.d));
+    ModelSpec base;
+    for (std::size_t j = 0; j < expected.d; ++j) {
+      base.params.push_back(
+          grid::ParameterSpec::numerical_log("p" + std::to_string(j), 1.0, 1024.0));
+    }
+    const auto axes = ModelRegistry::instance().search_space("cpr", base);
+    ASSERT_EQ(axes.size(), 3u);
+    const std::vector<std::pair<std::string, std::vector<double>>> want = {
+        {"cells", expected.cells}, {"rank", expected.ranks}, {"lambda", lambdas}};
+    for (std::size_t a = 0; a < axes.size(); ++a) {
+      EXPECT_EQ(axes[a].name, want[a].first);
+      EXPECT_EQ(axes[a].kind, HyperAxis::Kind::Grid);
+      ASSERT_EQ(axes[a].values.size(), want[a].second.size()) << axes[a].name;
+      for (std::size_t v = 0; v < axes[a].values.size(); ++v) {
+        EXPECT_EQ(std::stod(axes[a].values[v]), want[a].second[v]) << axes[a].name;
+      }
+    }
+    // Candidate order: cells outermost, lambda innermost.
+    const tune::SearchSpace space(axes);
+    const auto candidates = space.materialize(space.cardinality(), 1);
+    ASSERT_EQ(candidates.size(),
+              expected.cells.size() * expected.ranks.size() * lambdas.size());
+    std::size_t k = 0;
+    for (const auto& cells : axes[0].values) {
+      for (const auto& rank : axes[1].values) {
+        for (const auto& lambda : axes[2].values) {
+          EXPECT_EQ(candidates[k++].label(),
+                    "cells=" + cells + " rank=" + rank + " lambda=" + lambda);
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------- tuner
 
 tune::TunerOptions small_options(std::size_t threads) {
@@ -271,6 +323,20 @@ TEST(Tuner, SuccessiveHalvingPromotesPlantedOptimum) {
     EXPECT_LT(outcome.ranked[i].samples, data.size());
     EXPECT_GT(outcome.ranked[i].mlogq, outcome.ranked.front().mlogq);
   }
+}
+
+/// Tuned through the registered `cpr` space, the matmul model predicts a
+/// fresh test set to MLogQ < 0.1.
+TEST(Tuner, TunedCprOnMatmulSelectsReasonableModel) {
+  const auto mm = apps::make_matmul();
+  const Dataset train = mm->generate_dataset(4096, 21);
+  const Dataset test = mm->generate_dataset(256, 22);
+  ModelSpec base;
+  base.params = mm->parameters();
+  tune::TunerOptions options;
+  options.threads = 2;
+  const auto outcome = tune::Tuner(options).run("cpr", base, train);
+  EXPECT_LT(common::evaluate_mlogq(*outcome.model, test), 0.1);
 }
 
 TEST(Tuner, WinnerRefitMatchesManualConstruction) {

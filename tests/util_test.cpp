@@ -434,6 +434,33 @@ TEST(PerfJson, DiffFlagsRegressionsNewCasesAndMissingBaselines) {
   EXPECT_EQ(diff.missing[0].name, "skipped");
 }
 
+TEST(PerfJson, DiffGatesMissingCasesOnlyForSuitesThatRan) {
+  // A case gone from a suite that ran was renamed or deleted: it lands in
+  // `missing`, which fails cpr_bench. A case of a suite not selected for
+  // this run only lands in `not_run`, which cpr_bench notes.
+  const std::vector<util::PerfRecord> baseline = {
+      {"kernel_suite", "kept", 1.0, 0},
+      {"kernel_suite", "renamed_away", 1.0, 0},
+      {"serve_latency", "open_loop/p50", 1.0, 0},
+  };
+  const std::vector<util::PerfRecord> current = {
+      {"kernel_suite", "kept", 1.0, 0},
+      {"kernel_suite", "renamed_to", 1.0, 0},
+  };
+  const auto diff = util::diff_perf(current, baseline, 0.15);
+  EXPECT_EQ(diff.regressions, 0u);
+  ASSERT_EQ(diff.missing.size(), 1u);
+  EXPECT_EQ(diff.missing[0].suite, "kernel_suite");
+  EXPECT_EQ(diff.missing[0].name, "renamed_away");
+  ASSERT_EQ(diff.not_run.size(), 1u);
+  EXPECT_EQ(diff.not_run[0].suite, "serve_latency");
+
+  // With every suite in the run and every case present, nothing is missing.
+  const auto full = util::diff_perf(baseline, baseline, 0.15);
+  EXPECT_TRUE(full.missing.empty());
+  EXPECT_TRUE(full.not_run.empty());
+}
+
 TEST(PerfJson, DiffExactThresholdIsNotARegression) {
   const std::vector<util::PerfRecord> baseline = {{"s", "c", 1.0, 0}};
   const std::vector<util::PerfRecord> current = {{"s", "c", 1.15, 0}};

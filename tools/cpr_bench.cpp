@@ -14,8 +14,10 @@
 //
 // The default suite set is every bench binary present in --bench-dir;
 // --quick restricts it to kernel_suite, the stable low-noise kernel set the
-// committed baseline covers. Baseline cases that did not run are reported,
-// and cases without a baseline never gate (they show as "new").
+// committed baseline covers. A baseline case missing from a suite that ran
+// fails the gate (a renamed or deleted case must not lose its bound
+// silently); baseline cases of suites not run are only noted, and cases
+// without a baseline never gate (they show as "new").
 
 #include <cstdio>
 #include <cstdlib>
@@ -35,20 +37,18 @@ using namespace cpr;
 
 namespace {
 
-/// Every bench binary cpr_bench knows how to drive, in run order. The
-/// google-benchmark pair may be absent (optional dependency); fig/table
+/// Every bench binary cpr_bench knows how to drive, in run order; fig/table
 /// suites are the paper-reproduction set.
 const std::vector<std::string> kKnownSuites = {
-    "kernel_suite",    "micro_kernels",
-    "serve_throughput", "serve_latency",
-    "serve_drift",
-    "ablation_cpr",    "ext_online_updates",
-    "ext_sampling_strategies", "ext_tucker_vs_cp",
-    "fig1_svd_logtransform",   "fig3_discretization",
-    "fig4_refinement",         "fig5_training_density",
-    "fig6_error_vs_samples",   "fig7_error_vs_modelsize",
-    "fig8_extrapolation",      "optimizer_comparison",
-    "table1_metrics",          "table2_parameter_spaces",
+    "kernel_suite",            "serve_latency",
+    "serve_drift",             "ablation_cpr",
+    "ext_online_updates",      "ext_sampling_strategies",
+    "ext_tucker_vs_cp",        "fig1_svd_logtransform",
+    "fig3_discretization",     "fig4_refinement",
+    "fig5_training_density",   "fig6_error_vs_samples",
+    "fig7_error_vs_modelsize", "fig8_extrapolation",
+    "optimizer_comparison",    "table1_metrics",
+    "table2_parameter_spaces",
 };
 
 void usage(std::ostream& out) {
@@ -69,7 +69,9 @@ void usage(std::ostream& out) {
          "                      the source tree above the binary; missing\n"
          "                      baseline fails the run unless --no-gate)\n"
          "  --threshold=<f>     allowed slowdown fraction (default: 0.15)\n"
-         "  --no-gate           report the diff but always exit 0\n"
+         "  --no-gate           report the diff (regressions and baseline\n"
+         "                      cases missing from a suite that ran) but\n"
+         "                      always exit 0\n"
          "  --update-baseline   merge this run's records into --baseline and\n"
          "                      exit (cases from suites not run are kept)\n";
 }
@@ -258,14 +260,19 @@ int main(int argc, char** argv) {
                                       : (delta.in_baseline ? "ok" : "new")});
     }
     table.print(std::cout);
-    for (const auto& record : diff.missing) {
+    for (const auto& record : diff.not_run) {
       std::cout << "note: baseline case " << record.suite << "/" << record.name
-                << " did not run\n";
+                << " did not run (suite not selected)\n";
+    }
+    for (const auto& record : diff.missing) {
+      std::cout << "MISSING: baseline case " << record.suite << "/" << record.name
+                << " produced no record although its suite ran\n";
     }
 
-    if (diff.regressions > 0) {
+    if (diff.regressions > 0 || !diff.missing.empty()) {
       std::cout << "cpr_bench: " << diff.regressions << " case(s) regressed by more than "
-                << threshold * 100.0 << "% vs " << baseline_path << "\n";
+                << threshold * 100.0 << "% and " << diff.missing.size()
+                << " gated case(s) went missing vs " << baseline_path << "\n";
       if (!args.has("no-gate")) return 1;
       std::cout << "(--no-gate: exiting 0 anyway)\n";
     } else {
